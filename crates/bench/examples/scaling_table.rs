@@ -11,6 +11,10 @@
 //! Without `--out` the JSON goes to stdout. `FCPN_BENCH_SAMPLES` controls the number of
 //! interleaved measurement rounds per case (default 9).
 //!
+//! Schema v8 drops the thread axis with the parallel engines it measured: explore
+//! `engine` rows are keyed by `token_width` alone (the `u64` arena and the adaptive
+//! default), and the `scheduler` rows lose their `threads` list.
+//!
 //! Schema v7 adds the `synthesis` section: region-based net synthesis
 //! ([`fcpn_petri::synthesis`]) timed end to end — explore a bounded net, rebuild a net
 //! from the behaviour via the sparse Farkas region basis, verify by re-exploration —
@@ -27,19 +31,19 @@
 //! `/analyze` from concurrent connections, recording p50/p95 request latency,
 //! throughput and the result-cache hit rate (see `fcpn_bench::serveload`).
 //!
-//! Schema v4: every explore case records one row per engine configuration —
-//! `(threads, token_width)` — alongside the retained naive and sequential-`u64`
-//! baselines; the QSS sweep records the component-cache wall time against the uncached
-//! path; the `firing_session` rows time the [`FiringSession`] trace fast path against
-//! the seed token game; the `table1` section records the ATM functional-baseline
-//! simulation (and the full Table I harness) on both paths; and the `scheduler` section
-//! holds the zero-allocation scheduling pipeline (gray-code sweep + workspace
-//! reductions + fingerprint cache + sparse fraction-free Farkas) against the retained
-//! seed pipeline — end to end (cached, uncached, 2/4 threads) and per layer (the
-//! reduction sweep and the Farkas elimination in isolation). Speedups are measured with
-//! **interleaved rounds** — each round times every configuration back to back, and the
-//! recorded speedup is the median of the per-round ratios. On a machine with background
-//! load this is far more stable than comparing two independently taken medians.
+//! Schema v4: every explore case records one row per engine configuration alongside
+//! the retained naive and `u64` baselines; the QSS sweep records the component-cache
+//! wall time against the uncached path; the `firing_session` rows time the
+//! [`FiringSession`] trace fast path against the seed token game; the `table1` section
+//! records the ATM functional-baseline simulation (and the full Table I harness) on
+//! both paths; and the `scheduler` section holds the zero-allocation scheduling
+//! pipeline (gray-code sweep + workspace reductions + fingerprint cache + sparse
+//! fraction-free Farkas) against the retained seed pipeline — end to end (cached,
+//! uncached) and per layer (the reduction sweep and the Farkas elimination in
+//! isolation). Speedups are measured with **interleaved rounds** — each round times
+//! every configuration back to back, and the recorded speedup is the median of the
+//! per-round ratios. On a machine with background load this is far more stable than
+//! comparing two independently taken medians.
 //!
 //! [`FiringSession`]: fcpn_petri::statespace::FiringSession
 
@@ -71,20 +75,13 @@ struct ExploreCase {
     options: ReachabilityOptions,
 }
 
-/// One engine configuration measured per case, next to the naive baseline.
-struct EngineConfig {
-    threads: usize,
-    width: TokenWidth,
-}
-
 struct EngineRow {
-    threads: usize,
     /// Resolved width name (`Auto` resolves at explore time).
     width: &'static str,
     best_ms: f64,
     speedup_vs_naive: f64,
-    /// Median per-round ratio against the sequential u64 engine (the PR 1 baseline).
-    speedup_vs_seq_u64: f64,
+    /// Median per-round ratio against the `u64` engine.
+    speedup_vs_u64: f64,
 }
 
 struct ExploreRow {
@@ -153,28 +150,11 @@ fn measure_synthesis(label: &'static str, net: &PetriNet) -> SynthesisRow {
 }
 
 fn measure_explore(case: &ExploreCase) -> ExploreRow {
-    let configs = [
-        EngineConfig {
-            threads: 1,
-            width: TokenWidth::U64,
-        },
-        EngineConfig {
-            threads: 1,
-            width: TokenWidth::Auto,
-        },
-        EngineConfig {
-            threads: 2,
-            width: TokenWidth::Auto,
-        },
-        EngineConfig {
-            threads: 4,
-            width: TokenWidth::Auto,
-        },
-    ];
-    let explore_options = |c: &EngineConfig| ExploreOptions {
+    // One engine configuration per token width, next to the naive baseline.
+    let configs = [TokenWidth::U64, TokenWidth::Auto];
+    let explore_options = |width: TokenWidth| ExploreOptions {
         reach: case.options,
-        threads: c.threads,
-        width: c.width,
+        width,
         ..ExploreOptions::default()
     };
 
@@ -199,8 +179,8 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
             case.options,
         ));
         naive_times.push(start.elapsed().as_secs_f64());
-        for (i, config) in configs.iter().enumerate() {
-            let options = explore_options(config);
+        for (i, &width) in configs.iter().enumerate() {
+            let options = explore_options(width);
             let start = Instant::now();
             let space = StateSpace::explore_with(black_box(&case.net), &options);
             let width = black_box(space.token_width());
@@ -210,26 +190,20 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
         }
     }
 
-    let engine = configs
+    let engine = engine_times
         .iter()
         .enumerate()
-        .map(|(i, config)| {
-            let times = &engine_times[i];
-            EngineRow {
-                threads: config.threads,
-                width: resolved_widths[i],
-                best_ms: times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
-                speedup_vs_naive: median(
-                    naive_times.iter().zip(times).map(|(n, e)| n / e).collect(),
-                ),
-                speedup_vs_seq_u64: median(
-                    engine_times[0]
-                        .iter()
-                        .zip(times)
-                        .map(|(u, e)| u / e)
-                        .collect(),
-                ),
-            }
+        .map(|(i, times)| EngineRow {
+            width: resolved_widths[i],
+            best_ms: times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
+            speedup_vs_naive: median(naive_times.iter().zip(times).map(|(n, e)| n / e).collect()),
+            speedup_vs_u64: median(
+                engine_times[0]
+                    .iter()
+                    .zip(times)
+                    .map(|(u, e)| u / e)
+                    .collect(),
+            ),
         })
         .collect();
 
@@ -440,8 +414,6 @@ struct SchedulerRow {
     cached_naive_ms: f64,
     cached_fast_ms: f64,
     cached_speedup: f64,
-    /// Sharded sweep at 2/4 threads (cached), relative to the 1-thread fast path.
-    threads: Vec<(usize, f64, f64)>,
     /// Layer ablation: the reduction sweep alone (seed BTreeSets vs gray+workspace).
     reduce_naive_ms: f64,
     reduce_workspace_ms: f64,
@@ -454,22 +426,16 @@ struct SchedulerRow {
 }
 
 fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
-    let options = |cache: bool, threads: usize| QssOptions {
+    let options = |cache: bool| QssOptions {
         reuse_component_cache: cache,
-        threads,
         ..QssOptions::default()
     };
     // Equivalence gate before timing: the production pipeline must reproduce the seed
     // pipeline bit for bit in every measured configuration.
-    let reference = quasi_static_schedule_naive(net, &options(false, 1)).expect("fc input");
-    for threads in [1usize, 2, 4] {
-        for cache in [true, false] {
-            let outcome = quasi_static_schedule(net, &options(cache, threads)).expect("fc input");
-            assert_eq!(
-                reference, outcome,
-                "{label}: threads={threads} cache={cache}"
-            );
-        }
+    let reference = quasi_static_schedule_naive(net, &options(false)).expect("fc input");
+    for cache in [true, false] {
+        let outcome = quasi_static_schedule(net, &options(cache)).expect("fc input");
+        assert_eq!(reference, outcome, "{label}: cache={cache}");
     }
     let allocations = allocation_iter_gray(net, AllocationOptions::default())
         .expect("fc input")
@@ -489,7 +455,6 @@ fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
     let mut uncached_fast: Vec<f64> = Vec::new();
     let mut cached_naive: Vec<f64> = Vec::new();
     let mut cached_fast: Vec<f64> = Vec::new();
-    let mut threads_times: Vec<Vec<f64>> = vec![Vec::new(); 2];
     let mut reduce_naive: Vec<f64> = Vec::new();
     let mut reduce_workspace: Vec<f64> = Vec::new();
     let mut farkas_naive: Vec<f64> = Vec::new();
@@ -501,22 +466,17 @@ fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
     };
     for _ in 0..samples() {
         uncached_naive.push(time(&mut || {
-            black_box(quasi_static_schedule_naive(black_box(net), &options(false, 1)).unwrap());
+            black_box(quasi_static_schedule_naive(black_box(net), &options(false)).unwrap());
         }));
         uncached_fast.push(time(&mut || {
-            black_box(quasi_static_schedule(black_box(net), &options(false, 1)).unwrap());
+            black_box(quasi_static_schedule(black_box(net), &options(false)).unwrap());
         }));
         cached_naive.push(time(&mut || {
-            black_box(quasi_static_schedule_naive(black_box(net), &options(true, 1)).unwrap());
+            black_box(quasi_static_schedule_naive(black_box(net), &options(true)).unwrap());
         }));
         cached_fast.push(time(&mut || {
-            black_box(quasi_static_schedule(black_box(net), &options(true, 1)).unwrap());
+            black_box(quasi_static_schedule(black_box(net), &options(true)).unwrap());
         }));
-        for (i, threads) in [2usize, 4].into_iter().enumerate() {
-            threads_times[i].push(time(&mut || {
-                black_box(quasi_static_schedule(black_box(net), &options(true, threads)).unwrap());
-            }));
-        }
         reduce_naive.push(time(&mut || {
             for allocation in allocation_iter(net, AllocationOptions::default()).unwrap() {
                 black_box(TReduction::compute(net, allocation).unwrap());
@@ -550,17 +510,6 @@ fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
         cached_naive_ms: best(&cached_naive),
         cached_fast_ms: best(&cached_fast),
         cached_speedup: ratio(&cached_naive, &cached_fast),
-        threads: [2usize, 4]
-            .into_iter()
-            .enumerate()
-            .map(|(i, threads)| {
-                (
-                    threads,
-                    best(&threads_times[i]),
-                    ratio(&cached_fast, &threads_times[i]),
-                )
-            })
-            .collect(),
         reduce_naive_ms: best(&reduce_naive),
         reduce_workspace_ms: best(&reduce_workspace),
         reduce_speedup: ratio(&reduce_naive, &reduce_workspace),
@@ -617,12 +566,8 @@ fn main() {
         );
         for engine in &row.engine {
             eprintln!(
-                "    threads={} width={:<4} best {:>9.3}ms  vs naive {:>5.2}x  vs seq-u64 {:>5.2}x",
-                engine.threads,
-                engine.width,
-                engine.best_ms,
-                engine.speedup_vs_naive,
-                engine.speedup_vs_seq_u64
+                "    width={:<4} best {:>9.3}ms  vs naive {:>5.2}x  vs u64 {:>5.2}x",
+                engine.width, engine.best_ms, engine.speedup_vs_naive, engine.speedup_vs_u64
             );
         }
     }
@@ -827,11 +772,9 @@ fn main() {
         .unwrap_or(1);
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"fcpn-bench/statespace-v7\",\n");
+    json.push_str("  \"schema\": \"fcpn-bench/statespace-v8\",\n");
     json.push_str(&format!("  \"samples_per_case\": {},\n", samples()));
-    // Multi-threaded rows are only meaningful relative to this: with a single host
-    // core the parallel explorer serialises onto one CPU and pays pure coordination
-    // overhead, so its speedup reads < 1 regardless of implementation quality.
+    // The host the rows were recorded on: timings compare only within one host.
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str("  \"explore\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -849,13 +792,12 @@ fn main() {
         json.push_str("     \"engine\": [\n");
         for (j, engine) in row.engine.iter().enumerate() {
             json.push_str(&format!(
-                "       {{\"threads\": {}, \"token_width\": \"{}\", \"best_ms\": {:.3}, \
-                 \"speedup_vs_naive\": {:.2}, \"speedup_vs_seq_u64\": {:.2}}}{}\n",
-                engine.threads,
+                "       {{\"token_width\": \"{}\", \"best_ms\": {:.3}, \
+                 \"speedup_vs_naive\": {:.2}, \"speedup_vs_u64\": {:.2}}}{}\n",
                 engine.width,
                 engine.best_ms,
                 engine.speedup_vs_naive,
-                engine.speedup_vs_seq_u64,
+                engine.speedup_vs_u64,
                 if j + 1 < row.engine.len() { "," } else { "" }
             ));
         }
@@ -933,14 +875,6 @@ fn main() {
             "     \"cached\": {{\"naive_ms\": {:.3}, \"fast_ms\": {:.3}, \"speedup\": {:.2}}},\n",
             row.cached_naive_ms, row.cached_fast_ms, row.cached_speedup
         ));
-        json.push_str("     \"threads\": [");
-        for (j, &(threads, best_ms, speedup)) in row.threads.iter().enumerate() {
-            json.push_str(&format!(
-                "{{\"threads\": {threads}, \"best_ms\": {best_ms:.3}, \"speedup_vs_1\": {speedup:.2}}}{}",
-                if j + 1 < row.threads.len() { ", " } else { "" }
-            ));
-        }
-        json.push_str("],\n");
         json.push_str(&format!(
             "     \"layers\": {{\"reduce_naive_ms\": {:.3}, \"reduce_workspace_ms\": {:.3}, \
              \"reduce_speedup\": {:.2}, \"farkas_naive_ms\": {:.4}, \"farkas_sparse_ms\": {:.4}, \

@@ -26,7 +26,7 @@
 
 use super::arena::{widen_arena, TokenWord};
 use super::interner::{Probe, SliceTable};
-use super::{mix, parallel, place_key, raw_hash, StateId};
+use super::{mix, place_key, raw_hash, StateId};
 use crate::analysis::ReachabilityOptions;
 use crate::budget::{Interrupt, MemoryBudget};
 use crate::cancel::{CancelGate, CancelToken};
@@ -42,22 +42,21 @@ pub(crate) const CANCEL_STRIDE: u64 = 256;
 /// Canonical byte cost charged per admitted state: the arena row plus the raw hash
 /// plus the (amortized, ~50% load) interner slot.
 ///
-/// The explorers charge this **canonical cost model** — a pure function of the
-/// admission sequence — rather than their physical allocations, so the sequential
-/// and sharded engines exhaust a [`MemoryBudget`] at exactly the same state with
-/// exactly the same error. Physical overshoot (shard-transient states, `Vec` growth
-/// slack) is bounded by a small multiple of the admitted bytes and by the
-/// `max_markings` clamp.
+/// The explorer charges this **canonical cost model** — a pure function of the
+/// admission sequence and the token width — rather than its physical allocations, so
+/// the same net under the same [`MemoryBudget`] exhausts at exactly the same state
+/// with exactly the same error on every run. Physical overshoot (`Vec` growth slack) is bounded by a small multiple of the
+/// admitted bytes and by the `max_markings` clamp.
 #[inline]
 pub(crate) fn state_cost<W>(places: usize) -> u64 {
     (places * std::mem::size_of::<W>()) as u64 + 8 + 24
 }
 
 /// Canonical byte cost charged per admitted CSR edge (`edge_to` + `edge_transition`).
-pub(crate) const EDGE_COST: u64 = 8;
+const EDGE_COST: u64 = 8;
 
 /// Stage label of the explorers' budget charges.
-pub(crate) const STAGE_REACHABILITY: &str = "reachability";
+const STAGE_REACHABILITY: &str = "reachability";
 
 /// The storage width of the token arena.
 ///
@@ -107,16 +106,13 @@ impl TokenWidth {
     }
 }
 
-/// Exploration configuration beyond the [`ReachabilityOptions`] budget: thread count and
-/// token-arena width. The analysis entry points (`find_deadlock_with`,
+/// Exploration configuration beyond the [`ReachabilityOptions`] budget: token-arena
+/// width and the run's guards. The analysis entry points (`find_deadlock_with`,
 /// `check_liveness_with`, …) accept this struct to expose the same knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreOptions {
     /// State budget and token cut-off (identical semantics to the sequential explorer).
     pub reach: ReachabilityOptions,
-    /// Worker threads: `1` explores sequentially, `n > 1` runs the sharded parallel
-    /// explorer with `n` workers, `0` uses [`std::thread::available_parallelism`].
-    pub threads: usize,
     /// Token-arena width selection.
     pub width: TokenWidth,
     /// Cooperative cancellation: the explorers poll this token every few hundred
@@ -135,7 +131,6 @@ impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
             reach: ReachabilityOptions::default(),
-            threads: 1,
             width: TokenWidth::Auto,
             cancel: CancelToken::never(),
             memory: MemoryBudget::unlimited(),
@@ -148,19 +143,6 @@ impl From<ReachabilityOptions> for ExploreOptions {
         ExploreOptions {
             reach,
             ..ExploreOptions::default()
-        }
-    }
-}
-
-impl ExploreOptions {
-    /// The worker count the exploration will actually use: `threads`, with `0` resolved
-    /// through [`std::thread::available_parallelism`].
-    pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
         }
     }
 }
@@ -199,9 +181,9 @@ fn select_width(net: &PetriNet, initial: &[u64], options: &ExploreOptions) -> To
     }
 }
 
-/// Flattened per-net firing tables shared by the sequential explorer, every parallel
-/// worker and the firing session: CSR input arcs and delta rows, per-transition constant
-/// hash shifts, and the per-place consumer bitmasks driving candidate generation.
+/// Flattened per-net firing tables shared by the explorer and the firing session: CSR
+/// input arcs and delta rows, per-transition constant hash shifts, and the per-place
+/// consumer bitmasks driving candidate generation.
 #[derive(Debug, Clone)]
 pub(crate) struct NetTables {
     pub(crate) places: usize,
@@ -273,7 +255,7 @@ impl NetTables {
     }
 
     #[inline]
-    pub(crate) fn pre(&self, t: usize) -> &[(u32, u64)] {
+    fn pre(&self, t: usize) -> &[(u32, u64)] {
         &self.pre_rows[self.pre_offsets[t] as usize..self.pre_offsets[t + 1] as usize]
     }
 
@@ -347,14 +329,14 @@ impl NetTables {
 }
 
 /// The width-generic output of an exploration, before widening into a [`StateSpace`].
-pub(crate) struct RawSpace<W> {
-    pub(crate) arena: Vec<W>,
-    pub(crate) table: SliceTable,
-    pub(crate) fwd_offsets: Vec<u32>,
-    pub(crate) edge_to: Vec<u32>,
-    pub(crate) edge_transition: Vec<u32>,
-    pub(crate) complete: bool,
-    pub(crate) frontier: Vec<StateId>,
+struct RawSpace<W> {
+    arena: Vec<W>,
+    table: SliceTable,
+    fwd_offsets: Vec<u32>,
+    edge_to: Vec<u32>,
+    edge_transition: Vec<u32>,
+    complete: bool,
+    frontier: Vec<StateId>,
 }
 
 /// The sequential breadth-first explorer, generic over the arena word.
@@ -485,9 +467,9 @@ fn explore_seq<W: TokenWord>(
 ///
 /// Construction ([`StateSpace::explore`]) is a breadth-first enumeration with the same
 /// budget/cut-off semantics as [`ReachabilityOptions`]; queries run over CSR adjacency.
-/// [`StateSpace::explore_with`] additionally exposes the token-width and thread knobs;
-/// whatever variant builds the space, the resulting graph is canonical — identical ids,
-/// edges and frontier across widths and thread counts.
+/// [`StateSpace::explore_with`] additionally exposes the token-width knob and the run's
+/// guards; whatever width builds the space, the resulting graph is canonical — identical
+/// ids, edges and frontier across widths.
 #[derive(Debug)]
 pub struct StateSpace {
     places: usize,
@@ -552,7 +534,7 @@ impl StateSpace {
         Self::explore_from_with(net, initial, &ExploreOptions::from(options))
     }
 
-    /// Explores with explicit width/thread configuration from the initial marking.
+    /// Explores with explicit width and guard configuration from the initial marking.
     ///
     /// # Panics
     ///
@@ -564,7 +546,7 @@ impl StateSpace {
             .expect("exploration interrupted; use try_explore_with with armed guards")
     }
 
-    /// Explores with explicit width/thread configuration from an arbitrary marking.
+    /// Explores with explicit width and guard configuration from an arbitrary marking.
     ///
     /// # Panics
     ///
@@ -606,15 +588,12 @@ impl StateSpace {
     ) -> Result<Self, Interrupt> {
         assert_eq!(initial.len(), net.place_count(), "marking length mismatch");
         let width = select_width(net, initial.as_slice(), options);
-        let threads = options.resolved_threads();
         let tables = NetTables::build(net);
         match width {
-            TokenWidth::U8 => Self::run::<u8>(&tables, initial.as_slice(), options, threads, width),
-            TokenWidth::U16 => {
-                Self::run::<u16>(&tables, initial.as_slice(), options, threads, width)
-            }
+            TokenWidth::U8 => Self::run::<u8>(&tables, initial.as_slice(), options, width),
+            TokenWidth::U16 => Self::run::<u16>(&tables, initial.as_slice(), options, width),
             TokenWidth::Auto | TokenWidth::U64 => {
-                Self::run::<u64>(&tables, initial.as_slice(), options, threads, width)
+                Self::run::<u64>(&tables, initial.as_slice(), options, width)
             }
         }
     }
@@ -623,27 +602,15 @@ impl StateSpace {
         tables: &NetTables,
         initial: &[u64],
         options: &ExploreOptions,
-        threads: usize,
         width: TokenWidth,
     ) -> Result<Self, Interrupt> {
-        let raw = if threads > 1 {
-            parallel::explore_parallel::<W>(
-                tables,
-                initial,
-                options.reach,
-                threads,
-                &options.cancel,
-                &options.memory,
-            )?
-        } else {
-            explore_seq::<W>(
-                tables,
-                initial,
-                options.reach,
-                &options.cancel,
-                &options.memory,
-            )?
-        };
+        let raw = explore_seq::<W>(
+            tables,
+            initial,
+            options.reach,
+            &options.cancel,
+            &options.memory,
+        )?;
         // The narrow arena widens to `u64` words for the canonical [`StateSpace`];
         // charge the width delta so a budget covers what the caller actually keeps.
         let widen_extra = (8 - std::mem::size_of::<W>()) as u64 * raw.arena.len() as u64;
@@ -653,11 +620,7 @@ impl StateSpace {
         Ok(Self::from_raw(raw, tables.places, width))
     }
 
-    pub(crate) fn from_raw<W: TokenWord>(
-        raw: RawSpace<W>,
-        places: usize,
-        width: TokenWidth,
-    ) -> Self {
+    fn from_raw<W: TokenWord>(raw: RawSpace<W>, places: usize, width: TokenWidth) -> Self {
         StateSpace {
             places,
             arena: widen_arena(raw.arena),
@@ -1093,6 +1056,24 @@ mod tests {
     }
 
     #[test]
+    fn pre_fired_token_cancels_exploration() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        for width in [TokenWidth::Auto, TokenWidth::U64] {
+            let options = ExploreOptions {
+                width,
+                cancel: cancel.clone(),
+                ..ExploreOptions::default()
+            };
+            assert_eq!(
+                StateSpace::try_explore_with(&gallery::marked_ring(8, 4), &options).unwrap_err(),
+                Interrupt::Cancelled,
+                "{width:?}"
+            );
+        }
+    }
+
+    #[test]
     fn forced_widths_explore_identically() {
         let net = gallery::figure5();
         let reach = ReachabilityOptions {
@@ -1103,7 +1084,6 @@ mod tests {
             &net,
             &ExploreOptions {
                 reach,
-                threads: 1,
                 width: TokenWidth::U64,
                 ..ExploreOptions::default()
             },
@@ -1113,7 +1093,6 @@ mod tests {
                 &net,
                 &ExploreOptions {
                     reach,
-                    threads: 1,
                     width,
                     ..ExploreOptions::default()
                 },

@@ -82,9 +82,9 @@ impl SliceTable {
         self.len += 1;
     }
 
-    /// Inserts a `(hash, id)` pair known not to be present, skipping the slice
-    /// comparison. Used when re-indexing states whose distinctness is already
-    /// established (e.g. the canonical renumbering pass of the parallel explorer).
+    /// Inserts a `(hash, id)` pair without comparing slices: the caller has already
+    /// ruled the entry new. The coverability builder uses it because its encodings can
+    /// collide on distinct nodes, which it resolves against the nodes themselves.
     pub(crate) fn insert_unique(&mut self, hash: u64, id: StateId) {
         if self.needs_growth() {
             self.grow();

@@ -359,7 +359,6 @@ pub(super) fn run(lts: &Lts, opts: &SynthesisOptions) -> Result<SynthesizedNet, 
                 max_markings: n + 1,
                 max_tokens_per_place: max_tok.max(1),
             },
-            threads: 1,
             width: TokenWidth::U64,
             cancel: cancel.clone(),
             memory: opts.memory.clone(),

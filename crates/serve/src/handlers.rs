@@ -60,8 +60,6 @@ use std::time::{Duration, Instant};
 /// Server-side caps that per-request options are clamped against.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestLimits {
-    /// Largest per-request worker thread count (`threads` query parameter).
-    pub max_threads: usize,
     /// Cap on `max_markings` for reachability-based analyses.
     pub max_markings: usize,
     /// Cap on `max_tokens_per_place`.
@@ -87,7 +85,6 @@ pub struct RequestLimits {
 impl Default for RequestLimits {
     fn default() -> Self {
         RequestLimits {
-            max_threads: 4,
             max_markings: 200_000,
             max_tokens_per_place: 1024,
             max_coverability_nodes: 200_000,
@@ -590,8 +587,6 @@ fn run_synthesis(
 /// Effective per-request options after clamping against [`RequestLimits`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RequestOptions {
-    threads: usize,
-    reuse_component_cache: bool,
     use_result_cache: bool,
     max_allocations: u128,
     max_markings: usize,
@@ -633,7 +628,6 @@ impl RequestOptions {
             }
         };
 
-        let threads = (parse_u64("threads", 1)? as usize).clamp(1, limits.max_threads);
         let defaults = ReachabilityOptions::default();
         let max_markings = (parse_u64("max_markings", defaults.max_markings as u64)? as usize)
             .clamp(1, limits.max_markings);
@@ -703,8 +697,6 @@ impl RequestOptions {
             .clamp(1, limits.max_allocations.min(usize::MAX as u128) as usize);
 
         Ok(RequestOptions {
-            threads,
-            reuse_component_cache: parse_bool("component_cache", true)?,
             use_result_cache: parse_bool("cache", true)?,
             max_allocations,
             max_markings,
@@ -735,8 +727,12 @@ impl RequestOptions {
         fp.fold(endpoint.tag());
         fp.fold(fingerprint as u64);
         fp.fold((fingerprint >> 64) as u64);
-        fp.fold(self.threads as u64);
-        fp.fold(self.reuse_component_cache as u64);
+        // Key-format words: earlier keys also folded a sweep thread count and a
+        // component-cache switch here, which every default request set to 1 and 1.
+        // Folding the same constants keeps each key — its persisted log record and its
+        // cache shard — identical across the upgrade.
+        fp.fold(1);
+        fp.fold(1);
         fp.fold(self.max_allocations as u64);
         fp.fold((self.max_allocations >> 64) as u64);
         fp.fold(self.max_markings as u64);
@@ -767,8 +763,7 @@ impl RequestOptions {
             allocation: AllocationOptions {
                 max_allocations: self.max_allocations,
             },
-            reuse_component_cache: self.reuse_component_cache,
-            threads: self.threads,
+            reuse_component_cache: true,
             cancel,
             memory: self.memory(),
         }
@@ -780,7 +775,6 @@ impl RequestOptions {
                 max_markings: self.max_markings,
                 max_tokens_per_place: self.max_tokens_per_place,
             },
-            threads: self.threads,
             cancel,
             memory: self.memory(),
             ..ExploreOptions::default()
@@ -1026,8 +1020,7 @@ fn analyze(
         }
         // A *complete* shared exploration already enumerates the full reachable set,
         // which proves boundedness directly with the same `k` the covering search
-        // would report (the exact shortcut `check_boundedness_with` uses for its
-        // parallel path); only fall back to Karp–Miller when no complete space is at
+        // would report; only fall back to Karp–Miller when no complete space is at
         // hand.
         let verdict = match space.as_ref() {
             Some(space) if space.is_complete() => Boundedness::Bounded {
@@ -1241,10 +1234,35 @@ mod tests {
             governor: None,
         };
         let text = to_text(&gallery::figure4());
-        handle(&ctx, &post("/schedule?threads=1", &text));
-        handle(&ctx, &post("/schedule?threads=2", &text));
+        // Figure 4 has two allocations, so a budget of one changes the answer.
+        let full = handle(&ctx, &post("/schedule", &text));
+        let capped = handle(&ctx, &post("/schedule?max_allocations=1", &text));
+        assert_ne!(full.body, capped.body);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn cache_key_format_is_stable() {
+        // Persisted cache logs are keyed by these values, so a change to the key format
+        // silently cold-starts every `--cache-dir`; the figures pin the current format.
+        let limits = RequestLimits::default();
+        let fingerprint = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
+        for (query, endpoint, key) in [
+            (
+                "/schedule",
+                Endpoint::Schedule,
+                0x7785_9b72_4c12_c962_123b_69f2_6bb1_17b0,
+            ),
+            (
+                "/analyze?max_markings=500",
+                Endpoint::Analyze,
+                0xb62c_da83_80dd_c6b2_3d24_3122_a7bb_a298,
+            ),
+        ] {
+            let options = RequestOptions::from_query(&post(query, ""), &limits).unwrap();
+            assert_eq!(options.cache_key(endpoint, fingerprint), key, "{query}");
+        }
     }
 
     #[test]
@@ -1699,8 +1717,8 @@ mod tests {
         };
         let text = to_text(&gallery::figure4());
         for query in [
-            "/schedule?threads=abc",
-            "/schedule?component_cache=maybe",
+            "/schedule?max_allocations=abc",
+            "/schedule?cache=maybe",
             "/analyze?max_markings=-2",
             "/codegen?lang=fortran",
         ] {

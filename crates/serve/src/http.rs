@@ -687,13 +687,13 @@ mod tests {
     #[test]
     fn parses_post_with_body_and_query() {
         let req = parse_str(
-            "POST /schedule?threads=2&cache=0 HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+            "POST /schedule?max_markings=2&cache=0 HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
         )
         .unwrap()
         .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/schedule");
-        assert_eq!(req.query_param("threads"), Some("2"));
+        assert_eq!(req.query_param("max_markings"), Some("2"));
         assert_eq!(req.query_param("cache"), Some("0"));
         assert_eq!(req.body, b"hello");
         assert!(!req.wants_close());
@@ -796,7 +796,7 @@ mod tests {
         // One POST with query, headers and body, split at every byte boundary: the
         // parse must be identical no matter where the reads land.
         let wire =
-            b"POST /schedule?threads=2 HTTP/1.1\r\nHost: x\r\nX-Fcpn-Tenant: acme\r\nContent-Length: 5\r\n\r\nhello";
+            b"POST /schedule?max_markings=2 HTTP/1.1\r\nHost: x\r\nX-Fcpn-Tenant: acme\r\nContent-Length: 5\r\n\r\nhello";
         for split in 0..=wire.len() {
             let mut parser = IncrementalParser::new(HttpLimits::default());
             parser.feed(&wire[..split]);
@@ -811,7 +811,7 @@ mod tests {
             };
             assert_eq!(req.method, "POST", "split {split}");
             assert_eq!(req.path, "/schedule");
-            assert_eq!(req.query_param("threads"), Some("2"));
+            assert_eq!(req.query_param("max_markings"), Some("2"));
             assert_eq!(req.header("x-fcpn-tenant"), Some("acme"));
             assert_eq!(req.body, b"hello");
             assert!(parser.is_idle(), "split {split}");

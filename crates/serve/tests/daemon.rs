@@ -324,20 +324,27 @@ fn healthz_metrics_and_hostile_inputs() {
 }
 
 #[test]
-fn per_request_thread_option_matches_sequential_answer() {
-    // The sharded scheduler pins bit-identical outcomes for any thread count; the
-    // daemon must preserve that through the options plumbing.
+fn unknown_threads_option_shares_the_default_cache_slot() {
+    // The scheduler has no per-request knob for intra-run parallelism: a `threads`
+    // query parameter is an unknown option, ignored like any other, so it neither
+    // changes the answer nor splits the result cache.
     for_each_front_end(|reactor| {
         let handle = spawn_on(reactor, ServerConfig::default());
         let net = gallery::choice_chain(6);
         let text = to_text(&net);
-        let expected = expected_schedule_body(&net);
         let mut c = client(&handle);
-        for query in ["/schedule", "/schedule?threads=2", "/schedule?threads=4"] {
-            let response = c.request("POST", query, text.as_bytes()).expect("request");
-            assert_eq!(response.status, 200, "{query} (reactor={reactor})");
-            assert_eq!(response.body, expected, "{query} diverged");
-        }
+        let first = c
+            .request("POST", "/schedule", text.as_bytes())
+            .expect("request");
+        assert_eq!(first.status, 200, "reactor={reactor}");
+        assert_eq!(first.body, expected_schedule_body(&net));
+        assert_eq!(first.header("x-fcpn-cache"), Some("miss"));
+        let second = c
+            .request("POST", "/schedule?threads=4", text.as_bytes())
+            .expect("request");
+        assert_eq!(second.status, 200, "reactor={reactor}");
+        assert_eq!(second.body, first.body, "threads=4 changed the body");
+        assert_eq!(second.header("x-fcpn-cache"), Some("hit"));
         handle.shutdown();
     });
 }
@@ -504,11 +511,7 @@ fn blown_deadline_cancels_the_sweep_mid_stage_with_a_503() {
         let text = to_text(&gallery::choice_chain(12));
         let mut c = client(&handle);
         let response = c
-            .request(
-                "POST",
-                "/schedule?deadline_ms=1&cache=0&threads=1",
-                text.as_bytes(),
-            )
+            .request("POST", "/schedule?deadline_ms=1&cache=0", text.as_bytes())
             .expect("cancelled request still gets an answer");
         assert_eq!(response.status, 503);
         let mut c2 = client(&handle);
@@ -521,7 +524,7 @@ fn blown_deadline_cancels_the_sweep_mid_stage_with_a_503() {
         // The same request without the hostile deadline still computes fine: the
         // cancellation left no poisoned state behind.
         let ok = c2
-            .request("POST", "/schedule?cache=0&threads=1", text.as_bytes())
+            .request("POST", "/schedule?cache=0", text.as_bytes())
             .expect("follow-up request");
         assert_eq!(ok.status, 200);
         handle.shutdown();
