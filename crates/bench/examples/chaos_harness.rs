@@ -100,10 +100,9 @@ fn spawn(binary: &str, cache_dir: &str) -> DaemonProcess {
     spawn_with(binary, &["--cache-dir", cache_dir])
 }
 
-/// Spawns the daemon in reactor mode (the mode under test; off Linux the binary falls
-/// back to threaded by itself) with any extra flags appended.
+/// Spawns the daemon with any extra flags appended.
 fn spawn_with(binary: &str, extra: &[&str]) -> DaemonProcess {
-    let mut args = vec!["--addr", "127.0.0.1:0", "--workers", "4", "--reactor"];
+    let mut args = vec!["--addr", "127.0.0.1:0", "--workers", "4"];
     args.extend_from_slice(extra);
     DaemonProcess::spawn(binary, &args).expect("spawn fcpn-served")
 }

@@ -58,10 +58,7 @@ fn run_fanout_mode(
         tenants,
         deadline: std::time::Duration::from_secs(300),
     };
-    #[cfg(target_os = "linux")]
-    {
-        let _ = fcpn_serve::reactor::raise_nofile_limit((connections + idle) as u64 + 512);
-    }
+    let _ = fcpn_serve::reactor::raise_nofile_limit((connections + idle) as u64 + 512);
     let handle;
     let addr = match addr {
         Some(addr) => addr.to_string(),

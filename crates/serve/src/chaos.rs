@@ -242,8 +242,8 @@ pub struct FloodProbe {
 }
 
 /// Connection-flood probe: opens `idle` sockets that never send a byte, holds them all
-/// open, then fires one real request and measures its latency. On an event-driven
-/// front end the parked sockets cost a few KiB each and zero threads, so the real
+/// open, then fires one real request and measures its latency. On the daemon's epoll
+/// reactor the parked sockets cost a few KiB each and zero threads, so the real
 /// request must answer as if the flood were not there; a thread-per-connection server
 /// would have exhausted its workers long before 10k.
 ///
@@ -510,7 +510,8 @@ pub fn probe_memory_pressure(
     Ok(probe)
 }
 
-#[cfg(test)]
+// The daemon these tests spawn exists on Linux only.
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use crate::server::{Server, ServerConfig};
@@ -625,7 +626,6 @@ mod tests {
         handle.shutdown();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn connection_flood_probe_answers_through_idle_sockets() {
         let handle = spawn_local();
@@ -637,7 +637,6 @@ mod tests {
         handle.shutdown();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn slow_loris_fleet_is_cut_by_the_read_deadline() {
         let handle = spawn_local();

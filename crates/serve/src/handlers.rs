@@ -292,21 +292,21 @@ pub fn handle(ctx: &HandlerCtx<'_>, request: &Request) -> Response {
             ctx.metrics
                 .schedule_requests
                 .fetch_add(1, Ordering::Relaxed);
-            cached_endpoint(ctx, request, Endpoint::Schedule)
+            cached_endpoint(ctx, request, Endpoint::Schedule, schedule)
         }
         ("POST", "/analyze") => {
             ctx.metrics.analyze_requests.fetch_add(1, Ordering::Relaxed);
-            cached_endpoint(ctx, request, Endpoint::Analyze)
+            cached_endpoint(ctx, request, Endpoint::Analyze, analyze)
         }
         ("POST", "/codegen") => {
             ctx.metrics.codegen_requests.fetch_add(1, Ordering::Relaxed);
-            cached_endpoint(ctx, request, Endpoint::Codegen)
+            cached_endpoint(ctx, request, Endpoint::Codegen, codegen)
         }
         ("POST", "/synthesize") => {
             ctx.metrics
                 .synthesize_requests
                 .fetch_add(1, Ordering::Relaxed);
-            synthesize_endpoint(ctx, request)
+            cached_endpoint(ctx, request, Endpoint::Synthesize, run_synthesis)
         }
         (_, "/schedule" | "/analyze" | "/codegen") => {
             Response::error(405, "use POST with the net text as the request body")
@@ -340,24 +340,62 @@ impl Endpoint {
     }
 }
 
-/// Shared POST plumbing: parse the net, resolve options, consult the cache, compute on
-/// miss, memoise, and stamp the `X-Fcpn-Cache` header.
-fn cached_endpoint(ctx: &HandlerCtx<'_>, request: &Request, endpoint: Endpoint) -> Response {
+/// A POST body type: how its text parses, and the fingerprint its cache key is built
+/// from. Nets feed `/schedule`, `/analyze` and `/codegen`; transition systems feed
+/// `/synthesize`.
+trait Body: Sized {
+    /// The `400` message for an empty body.
+    const EMPTY: &'static str;
+    /// Parses the body text; the error is the `400` message.
+    fn parse(text: &str) -> Result<Self, String>;
+    /// The 128-bit fingerprint folded into the cache key.
+    fn fingerprint(&self) -> u128;
+}
+
+impl Body for PetriNet {
+    const EMPTY: &'static str = "empty body; POST a net in the text format";
+    fn parse(text: &str) -> Result<Self, String> {
+        parse_net(text).map_err(|e| format!("net parse failed: {e}"))
+    }
+    fn fingerprint(&self) -> u128 {
+        net_fingerprint(self)
+    }
+}
+
+impl Body for Lts {
+    const EMPTY: &'static str = "empty body; POST a transition system in the lts text format";
+    fn parse(text: &str) -> Result<Self, String> {
+        Lts::parse(text).map_err(|e| format!("lts parse failed: {e}"))
+    }
+    fn fingerprint(&self) -> u128 {
+        Lts::fingerprint(self)
+    }
+}
+
+/// Shared POST plumbing: parse the body, resolve options, consult the cache, admit
+/// against the memory governor, compute on miss with `run`, memoise, and stamp the
+/// `X-Fcpn-Cache` header.
+fn cached_endpoint<B: Body>(
+    ctx: &HandlerCtx<'_>,
+    request: &Request,
+    endpoint: Endpoint,
+    run: fn(&HandlerCtx<'_>, &B, &RequestOptions, &Deadline) -> Response,
+) -> Response {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) if !text.trim().is_empty() => text,
-        Ok(_) => return Response::error(400, "empty body; POST a net in the text format"),
+        Ok(_) => return Response::error(400, B::EMPTY),
         Err(_) => return Response::error(400, "body is not UTF-8"),
     };
-    let net = match parse_net(text) {
-        Ok(net) => net,
-        Err(e) => return Response::error(400, &format!("net parse failed: {e}")),
+    let input = match B::parse(text) {
+        Ok(input) => input,
+        Err(message) => return Response::error(400, &message),
     };
     let options = match RequestOptions::from_query(request, ctx.limits) {
         Ok(options) => options,
         Err(response) => return response,
     };
 
-    let key = options.cache_key(endpoint, net_fingerprint(&net));
+    let key = options.cache_key(endpoint, input.fingerprint());
     if options.use_result_cache {
         if let Some(hit) = ctx.cache.get(key) {
             return Response::json_shared(hit.status, Arc::clone(&hit.body))
@@ -371,14 +409,10 @@ fn cached_endpoint(ctx: &HandlerCtx<'_>, request: &Request, endpoint: Endpoint) 
     };
 
     let deadline = Deadline::new(Duration::from_millis(options.deadline_ms));
-    let response = match endpoint {
-        Endpoint::Schedule => schedule(ctx, &net, &options, &deadline),
-        Endpoint::Analyze => analyze(ctx, &net, &options, &deadline),
-        Endpoint::Codegen => codegen(ctx, &net, &options, &deadline),
-        Endpoint::Synthesize => unreachable!("/synthesize has its own plumbing"),
-    };
-    // Deterministic outcomes (including 4xx verdicts about the net itself) are
-    // memoised; deadline 503s are not — they depend on load, not on the request.
+    let response = run(ctx, &input, &options, &deadline);
+    // Deterministic outcomes (including 4xx verdicts about the input itself and
+    // honest "not synthesizable" witnesses) are memoised; 503s are not — they depend
+    // on load, not on the request.
     if options.use_result_cache && response.status != 503 {
         ctx.cache.insert(
             key,
@@ -430,59 +464,6 @@ fn admit<'a>(
             )
         }
     }
-}
-
-/// `/synthesize` plumbing. Parallel to [`cached_endpoint`] but keyed on the *LTS*
-/// fingerprint (the body is a transition system, not a net): parse, resolve options,
-/// consult the cache, admit against the governor, synthesize, memoise.
-fn synthesize_endpoint(ctx: &HandlerCtx<'_>, request: &Request) -> Response {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) if !text.trim().is_empty() => text,
-        Ok(_) => {
-            return Response::error(
-                400,
-                "empty body; POST a transition system in the lts text format",
-            )
-        }
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    let lts = match Lts::parse(text) {
-        Ok(lts) => lts,
-        Err(e) => return Response::error(400, &format!("lts parse failed: {e}")),
-    };
-    let options = match RequestOptions::from_query(request, ctx.limits) {
-        Ok(options) => options,
-        Err(response) => return response,
-    };
-
-    let key = options.cache_key(Endpoint::Synthesize, lts.fingerprint());
-    if options.use_result_cache {
-        if let Some(hit) = ctx.cache.get(key) {
-            return Response::json_shared(hit.status, Arc::clone(&hit.body))
-                .with_header("X-Fcpn-Cache", "hit");
-        }
-    }
-
-    let _reserved = match admit(ctx, &options) {
-        Ok(reservation) => reservation,
-        Err(response) => return response,
-    };
-
-    let deadline = Deadline::new(Duration::from_millis(options.deadline_ms));
-    let response = run_synthesis(ctx, &lts, &options, &deadline);
-    // Same memoisation policy as the net endpoints: deterministic outcomes (including
-    // honest "not synthesizable" verdicts and 4xx about the input) are cached;
-    // load-dependent 503s are not.
-    if options.use_result_cache && response.status != 503 {
-        ctx.cache.insert(
-            key,
-            Arc::new(CachedResponse {
-                status: response.status,
-                body: Arc::clone(&response.body),
-            }),
-        );
-    }
-    response.with_header("X-Fcpn-Cache", "miss")
 }
 
 fn lts_fingerprint_hex(lts: &Lts) -> String {
@@ -809,9 +790,7 @@ fn schedule(
     // blown deadline aborts the sweep from the inside within one polling stride.
     match quasi_static_schedule(net, &options.qss(deadline.cancel.clone())) {
         Ok(outcome) => Response::json(200, schedule_response_body(net, &outcome)),
-        Err(QssError::Cancelled) => cancelled_response(ctx.metrics),
-        Err(QssError::ResourceExhausted(e)) => exhausted_response(ctx.metrics, &e),
-        Err(e) => qss_error_response(net, &e),
+        Err(e) => qss_error_response(ctx.metrics, net, &e),
     }
 }
 
@@ -897,8 +876,12 @@ fn failure_json(net: &PetriNet, failure: &ComponentFailure) -> Json {
     }
 }
 
-fn qss_error_response(net: &PetriNet, error: &QssError) -> Response {
+/// Maps a scheduler error to its response: the load-shed `503`s for a cancelled or
+/// memory-starved sweep, typed `422`s for verdicts about the net, `500` otherwise.
+fn qss_error_response(metrics: &Metrics, net: &PetriNet, error: &QssError) -> Response {
     match error {
+        QssError::Cancelled => cancelled_response(metrics),
+        QssError::ResourceExhausted(e) => exhausted_response(metrics, e),
         QssError::NotFreeChoice { violations } => Response::json(
             422,
             Json::obj([
@@ -1079,9 +1062,7 @@ fn codegen(
 ) -> Response {
     let outcome = match quasi_static_schedule(net, &options.qss(deadline.cancel.clone())) {
         Ok(outcome) => outcome,
-        Err(QssError::Cancelled) => return cancelled_response(ctx.metrics),
-        Err(QssError::ResourceExhausted(e)) => return exhausted_response(ctx.metrics, &e),
-        Err(e) => return qss_error_response(net, &e),
+        Err(e) => return qss_error_response(ctx.metrics, net, &e),
     };
     let schedule = match outcome {
         QssOutcome::Schedulable(schedule) => schedule,
@@ -1401,6 +1382,43 @@ mod tests {
         let response = handle(&ctx, &post("/schedule", "net x\nbogus line"));
         assert_eq!(response.status, 400);
         assert!(response.body.contains("line 2"));
+    }
+
+    #[test]
+    fn bad_bodies_get_the_same_400s_on_every_endpoint() {
+        let (limits, cache, metrics) = ctx_parts();
+        let ctx = HandlerCtx {
+            limits: &limits,
+            cache: &cache,
+            metrics: &metrics,
+            governor: None,
+        };
+        let error = |path: &str, body: &[u8]| {
+            let mut request = post(path, "");
+            request.body = body.to_vec();
+            let response = handle(&ctx, &request);
+            assert_eq!(response.status, 400, "{path}");
+            parse(&response.body)
+                .unwrap()
+                .get("error")
+                .and_then(|v| v.as_str())
+                .unwrap()
+                .to_string()
+        };
+        for path in ["/schedule", "/analyze", "/codegen"] {
+            assert_eq!(
+                error(path, b" \n"),
+                "empty body; POST a net in the text format"
+            );
+            assert_eq!(error(path, b"\xff"), "body is not UTF-8");
+            assert!(error(path, b"net x\nbogus line").starts_with("net parse failed: "));
+        }
+        assert_eq!(
+            error("/synthesize", b" \n"),
+            "empty body; POST a transition system in the lts text format"
+        );
+        assert_eq!(error("/synthesize", b"\xff"), "body is not UTF-8");
+        assert!(error("/synthesize", b"bogus line").starts_with("lts parse failed: "));
     }
 
     #[test]

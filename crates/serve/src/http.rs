@@ -1,19 +1,18 @@
-//! A minimal HTTP/1.1 layer: request parsing with hard limits, response writing.
+//! A minimal HTTP/1.1 layer: request decoding with hard limits, response encoding.
 //!
 //! The daemon speaks just enough HTTP for its POST/GET endpoints: request line,
-//! headers, `Content-Length` bodies, percent-encoded query strings and keep-alive.
-//! Everything is bounded — head size, header count, body size, and (via the `deadline`
-//! handed to [`read_request`]) total wall-clock per request read — so a hostile peer
-//! can exhaust neither memory nor a worker's time: the per-`read` socket timeout alone
-//! would not stop a slow-loris client dripping one byte per interval, but the deadline
-//! is checked after every read, so a request that has not arrived in full by then is
-//! dropped. No chunked transfer encoding: requests carrying `Transfer-Encoding` are
-//! rejected with `411 Length Required` semantics (the daemon's clients always know
-//! their body length up front).
+//! headers, `Content-Length` bodies, percent-encoded query strings, keep-alive and
+//! pipelining. There is one request decoder, [`IncrementalParser`], which the reactor
+//! feeds whatever bytes each non-blocking `read` produced; every status and message a
+//! client can observe for a malformed request comes from it. Everything it buffers is
+//! bounded — head size, header count, body size — so a hostile peer cannot exhaust
+//! memory; the wall-clock bounds (idle, request-read and response-write deadlines)
+//! are the reactor's timers. No chunked transfer encoding: requests carrying
+//! `Transfer-Encoding` are rejected with `411 Length Required` (the daemon's clients
+//! always know their body length up front).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Hard limits applied while reading one request.
 #[derive(Debug, Clone, Copy)]
@@ -77,111 +76,28 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// A request the decoder refused: syntactically invalid or over a limit. The server
+/// answers with this status and closes the connection.
 #[derive(Debug)]
-pub enum HttpError {
-    /// The peer closed (or timed out) before sending a complete request; nothing to
-    /// answer.
-    Disconnected,
-    /// The request was syntactically invalid or exceeded a limit; the server should
-    /// answer with this status and close.
-    Malformed {
-        /// Suggested response status (400, 413, …).
-        status: u16,
-        /// Human-readable reason, echoed in the error body.
-        message: String,
-    },
+pub struct HttpError {
+    /// Response status (400, 411, 413, 431).
+    pub status: u16,
+    /// Human-readable reason, echoed in the error body.
+    pub message: String,
 }
 
 impl HttpError {
     fn bad(message: impl Into<String>) -> Self {
-        HttpError::Malformed {
+        HttpError {
             status: 400,
             message: message.into(),
         }
     }
 }
 
-/// Reads one request from `reader`.
-///
-/// Returns `Ok(None)` when the peer closed before sending any byte (the normal end of a
-/// keep-alive connection). `deadline`, when given, bounds the **total** wall-clock
-/// spent reading this request (checked after every read): a slow-loris peer dripping
-/// bytes under the socket timeout still loses its worker at the deadline. The
-/// keep-alive idle wait (blocking for the first byte) is bounded by the socket read
-/// timeout, not the deadline.
-///
-/// # Errors
-///
-/// [`HttpError::Disconnected`] on mid-request EOF, socket timeout or a blown deadline;
-/// [`HttpError::Malformed`] (with a suggested status) on syntax errors or exceeded
-/// limits.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    limits: &HttpLimits,
-    deadline: Option<Instant>,
-) -> Result<Option<Request>, HttpError> {
-    let mut head_bytes = 0usize;
-    let request_line = match read_line(reader, limits, deadline, &mut head_bytes)? {
-        None => return Ok(None),
-        Some(line) if line.is_empty() => {
-            // Tolerate a stray CRLF between pipelined requests.
-            match read_line(reader, limits, deadline, &mut head_bytes)? {
-                None => return Ok(None),
-                Some(line) => line,
-            }
-        }
-        Some(line) => line,
-    };
-
-    let mut header_lines: Vec<String> = Vec::new();
-    loop {
-        let line = match read_line(reader, limits, deadline, &mut head_bytes)? {
-            None => return Err(HttpError::Disconnected),
-            Some(line) => line,
-        };
-        if line.is_empty() {
-            break;
-        }
-        // The head-byte budget above bounds memory; the header-count limit is
-        // enforced when the head is assembled.
-        header_lines.push(line);
-    }
-
-    let (mut request, content_length) = assemble_head(
-        &request_line,
-        header_lines.iter().map(String::as_str),
-        limits,
-    )?;
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        // Chunked reads with a deadline check between them, so a body dripped under
-        // the socket timeout still cannot hold the worker past the deadline.
-        let mut filled = 0usize;
-        while filled < content_length {
-            if deadline.is_some_and(|d| Instant::now() > d) {
-                return Err(HttpError::Disconnected);
-            }
-            let end = (filled + 8192).min(content_length);
-            reader
-                .read_exact(&mut body[filled..end])
-                .map_err(|_| HttpError::Disconnected)?;
-            filled = end;
-        }
-    }
-
-    request.body = body;
-    Ok(Some(request))
-}
-
 /// Parses a complete request head (request line + header lines, line terminators
 /// already stripped) into a body-less [`Request`] plus the declared `Content-Length`.
-///
-/// Both front ends go through this: the blocking reader collects lines one blocking
-/// `read` at a time, the reactor's [`IncrementalParser`] splits a buffered head — but
-/// every status code and error message a client can observe comes from this one
-/// function, so the two paths stay bit-identical.
-pub(crate) fn assemble_head<'a>(
+fn assemble_head<'a>(
     request_line: &str,
     header_lines: impl Iterator<Item = &'a str>,
     limits: &HttpLimits,
@@ -216,7 +132,7 @@ pub(crate) fn assemble_head<'a>(
     let mut headers: Vec<(String, String)> = Vec::new();
     for line in header_lines {
         if headers.len() >= limits.max_headers {
-            return Err(HttpError::Malformed {
+            return Err(HttpError {
                 status: 431,
                 message: format!("more than {} headers", limits.max_headers),
             });
@@ -234,7 +150,7 @@ pub(crate) fn assemble_head<'a>(
             .map(|(_, v)| v.as_str())
     };
     if header("transfer-encoding").is_some() {
-        return Err(HttpError::Malformed {
+        return Err(HttpError {
             status: 411,
             message: "chunked bodies are not supported; send Content-Length".into(),
         });
@@ -263,7 +179,7 @@ pub(crate) fn assemble_head<'a>(
         }
     };
     if content_length > limits.max_body_bytes {
-        return Err(HttpError::Malformed {
+        return Err(HttpError {
             status: 413,
             message: format!(
                 "body of {content_length} bytes exceeds the {} byte limit",
@@ -284,7 +200,7 @@ pub(crate) fn assemble_head<'a>(
     ))
 }
 
-/// Incremental HTTP/1.1 request parser for the non-blocking reactor path.
+/// The daemon's HTTP/1.1 request decoder.
 ///
 /// The reactor feeds whatever bytes `read(2)` produced — a byte, a half request, three
 /// pipelined requests — and polls for complete requests. Parsing state survives across
@@ -345,9 +261,9 @@ impl IncrementalParser {
     ///
     /// # Errors
     ///
-    /// [`HttpError::Malformed`] exactly as the blocking reader would classify the same
-    /// request (the head is assembled by the same code). The parser is unusable after
-    /// an error; the connection must be closed.
+    /// [`HttpError`] with the status and message to answer when the request is
+    /// malformed or over a limit. The parser is unusable after an error; the
+    /// connection must be closed.
     pub fn poll(&mut self) -> Result<Option<Request>, HttpError> {
         if let ParseState::Body { content_length, .. } = &self.state {
             let content_length = *content_length;
@@ -363,8 +279,7 @@ impl IncrementalParser {
             return Ok(Some(*request));
         }
 
-        // Tolerate stray blank lines between pipelined requests (the blocking path's
-        // stray-CRLF leniency, generalised).
+        // Tolerate stray blank lines between pipelined requests.
         loop {
             if self.buf.starts_with(b"\r\n") {
                 self.buf.drain(..2);
@@ -378,7 +293,7 @@ impl IncrementalParser {
 
         let Some(head_end) = self.find_head_terminator() else {
             if self.buf.len() > self.limits.max_head_bytes {
-                return Err(HttpError::Malformed {
+                return Err(HttpError {
                     status: 431,
                     message: format!("request head exceeds {} bytes", self.limits.max_head_bytes),
                 });
@@ -386,7 +301,7 @@ impl IncrementalParser {
             return Ok(None);
         };
         if head_end > self.limits.max_head_bytes {
-            return Err(HttpError::Malformed {
+            return Err(HttpError {
                 status: 431,
                 message: format!("request head exceeds {} bytes", self.limits.max_head_bytes),
             });
@@ -429,53 +344,6 @@ impl IncrementalParser {
         }
         self.scanned = self.buf.len();
         None
-    }
-}
-
-/// Reads one CRLF- (or LF-) terminated line, enforcing the head-byte budget and the
-/// per-request deadline. `Ok(None)` only on EOF before the first byte of the line.
-fn read_line(
-    reader: &mut impl BufRead,
-    limits: &HttpLimits,
-    deadline: Option<Instant>,
-    head_bytes: &mut usize,
-) -> Result<Option<String>, HttpError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Disconnected);
-            }
-            Ok(_) => {
-                *head_bytes += 1;
-                if deadline.is_some_and(|d| Instant::now() > d) {
-                    return Err(HttpError::Disconnected);
-                }
-                if *head_bytes > limits.max_head_bytes {
-                    return Err(HttpError::Malformed {
-                        status: 431,
-                        message: format!("request head exceeds {} bytes", limits.max_head_bytes),
-                    });
-                }
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return match String::from_utf8(line) {
-                        Ok(s) => Ok(Some(s)),
-                        Err(_) => Err(HttpError::bad("non-UTF-8 request head")),
-                    };
-                }
-                line.push(byte[0]);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // Timeout or reset mid-head: the connection is unusable either way.
-            Err(_) => return Err(HttpError::Disconnected),
-        }
     }
 }
 
@@ -590,9 +458,8 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Builds the response head exactly as the blocking writer emits it — the reactor
-/// serialises through this same function, which is what keeps the two front ends'
-/// wire bytes identical.
+/// Builds the response head: status line, `Content-Type`, `Content-Length`, the
+/// extra headers and `Connection` (`close` when `close`, else `keep-alive`).
 pub(crate) fn response_head(response: &Response, close: bool) -> String {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
@@ -624,64 +491,35 @@ pub(crate) fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     out
 }
 
-/// Serialises `response` onto `stream` (HTTP/1.1, explicit `Content-Length`,
-/// `Connection: close` when `close`).
+/// Writes `response` to a blocking `stream`: the same bytes the reactor sends, head
+/// then body.
 ///
 /// # Errors
 ///
-/// Propagates socket write errors.
+/// Propagates write errors.
 pub fn write_response(stream: &mut impl Write, response: &Response, close: bool) -> io::Result<()> {
-    write_response_deadline(stream, response, close, None)
-}
-
-/// [`write_response`] with a total wall-clock bound on the write.
-///
-/// The per-`write` socket timeout alone does not bound the whole response: a peer
-/// draining its receive window one byte at a time keeps every individual write under
-/// the timeout while holding the worker indefinitely (the write-side slow-loris). The
-/// body is therefore written in bounded chunks with the deadline checked between them;
-/// a blown deadline aborts with [`io::ErrorKind::TimedOut`] and the caller drops the
-/// connection.
-///
-/// # Errors
-///
-/// Propagates socket write errors; [`io::ErrorKind::TimedOut`] when `deadline` passes
-/// before the response is fully written.
-pub fn write_response_deadline(
-    stream: &mut impl Write,
-    response: &Response,
-    close: bool,
-    deadline: Option<Instant>,
-) -> io::Result<()> {
-    let head = response_head(response, close);
-    stream.write_all(head.as_bytes())?;
-    let body = response.body.as_bytes();
-    let mut written = 0usize;
-    while written < body.len() {
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "response write deadline exceeded",
-            ));
-        }
-        let end = (written + 8192).min(body.len());
-        stream.write_all(&body[written..end])?;
-        written = end;
-    }
+    stream.write_all(response_head(response, close).as_bytes())?;
+    stream.write_all(response.body.as_bytes())?;
     stream.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+
+    /// Feeds `input` whole to a fresh decoder and polls once.
+    fn decode(
+        input: &str,
+        limits: HttpLimits,
+    ) -> (IncrementalParser, Result<Option<Request>, HttpError>) {
+        let mut parser = IncrementalParser::new(limits);
+        parser.feed(input.as_bytes());
+        let result = parser.poll();
+        (parser, result)
+    }
 
     fn parse_str(input: &str) -> Result<Option<Request>, HttpError> {
-        read_request(
-            &mut BufReader::new(input.as_bytes()),
-            &HttpLimits::default(),
-            None,
-        )
+        decode(input, HttpLimits::default()).1
     }
 
     #[test]
@@ -716,10 +554,7 @@ mod tests {
         // `from_str_radix` alone would accept the sign prefix in `%+a`.
         for target in ["/x%+a", "/x%4", "/x%zz"] {
             let err = parse_str(&format!("GET {target} HTTP/1.1\r\n\r\n")).unwrap_err();
-            assert!(
-                matches!(err, HttpError::Malformed { status: 400, .. }),
-                "{target}"
-            );
+            assert!(matches!(err, HttpError { status: 400, .. }), "{target}");
         }
     }
 
@@ -730,7 +565,7 @@ mod tests {
         let err =
             parse_str("POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello")
                 .unwrap_err();
-        assert!(matches!(err, HttpError::Malformed { status: 400, .. }));
+        assert!(matches!(err, HttpError { status: 400, .. }));
         // Repeated but agreeing values are harmless.
         let req =
             parse_str("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
@@ -741,7 +576,10 @@ mod tests {
 
     #[test]
     fn eof_before_request_is_none() {
-        assert!(parse_str("").unwrap().is_none());
+        let (parser, result) = decode("", HttpLimits::default());
+        assert!(result.unwrap().is_none());
+        // Nothing buffered: an idle keep-alive connection, under the idle timeout.
+        assert!(parser.is_idle());
     }
 
     #[test]
@@ -750,45 +588,35 @@ mod tests {
             max_body_bytes: 4,
             ..HttpLimits::default()
         };
-        let err = read_request(
-            &mut BufReader::new(&b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789"[..]),
-            &limits,
-            None,
+        let err = decode(
+            "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789",
+            limits,
         )
+        .1
         .unwrap_err();
-        match err {
-            HttpError::Malformed { status, .. } => assert_eq!(status, 413),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(err.status, 413);
+        assert_eq!(err.message, "body of 10 bytes exceeds the 4 byte limit");
     }
 
     #[test]
     fn truncated_body_is_disconnected() {
-        let err = parse_str("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").unwrap_err();
-        assert!(matches!(err, HttpError::Disconnected));
+        // A body cut short waits for more bytes, and the parser is not idle: a peer
+        // that hangs up now, or stays quiet past the request-read deadline, is a
+        // mid-request disconnect to the reactor, not the end of a keep-alive.
+        let (parser, result) = decode(
+            "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+            HttpLimits::default(),
+        );
+        assert!(result.unwrap().is_none());
+        assert!(!parser.is_idle());
     }
 
     #[test]
     fn garbage_request_line_is_malformed() {
         assert!(matches!(
             parse_str("NONSENSE\r\n\r\n"),
-            Err(HttpError::Malformed { .. })
+            Err(HttpError { status: 400, .. })
         ));
-    }
-
-    #[test]
-    fn expired_write_deadline_aborts_with_timed_out() {
-        let mut out = Vec::new();
-        let long_body = "x".repeat(64 * 1024);
-        let expired = Instant::now() - std::time::Duration::from_millis(1);
-        let err = write_response_deadline(
-            &mut out,
-            &Response::json(200, long_body),
-            true,
-            Some(expired),
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
 
     #[test]
@@ -858,10 +686,7 @@ mod tests {
             }
         }
         let (chunk, err) = rejected.expect("oversized head never rejected");
-        match err {
-            HttpError::Malformed { status, .. } => assert_eq!(status, 431),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(err.status, 431);
         // Rejection happened as soon as the budget blew, not at some later horizon.
         assert!(
             parser.buffered() <= 64 + 8 + 5,
@@ -870,35 +695,44 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_matches_blocking_reader_on_errors() {
-        // Same malformed inputs, same statuses and messages on both paths.
-        for wire in [
-            "NONSENSE\r\n\r\n",
-            "POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello",
-            "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-            "POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
-            "GET /x%zz HTTP/1.1\r\n\r\n",
+    fn incremental_parser_pins_status_and_message_on_errors() {
+        // Every client-visible rejection, byte for byte: the status and the message
+        // echoed in the JSON error body.
+        for (wire, status, message) in [
+            ("NONSENSE\r\n\r\n", 400, "missing request target"),
+            ("GET /\r\n\r\n", 400, "missing HTTP version"),
+            ("GET / HTTP/2\r\n\r\n", 400, "unsupported version HTTP/2"),
+            (
+                "GET / HTTP/1.1\r\nNoColon\r\n\r\n",
+                400,
+                "header line without `:`",
+            ),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello",
+                400,
+                "conflicting Content-Length headers",
+            ),
+            (
+                "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                411,
+                "chunked bodies are not supported; send Content-Length",
+            ),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+                400,
+                "invalid Content-Length",
+            ),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+                413,
+                "body of 2000000 bytes exceeds the 1048576 byte limit",
+            ),
+            ("GET /x%zz HTTP/1.1\r\n\r\n", 400, "bad path encoding"),
+            ("GET /x?a=%zz HTTP/1.1\r\n\r\n", 400, "bad query encoding"),
         ] {
-            let blocking = parse_str(wire).unwrap_err();
-            let mut parser = IncrementalParser::new(HttpLimits::default());
-            parser.feed(wire.as_bytes());
-            let incremental = parser.poll().unwrap_err();
-            match (blocking, incremental) {
-                (
-                    HttpError::Malformed {
-                        status: sa,
-                        message: ma,
-                    },
-                    HttpError::Malformed {
-                        status: sb,
-                        message: mb,
-                    },
-                ) => {
-                    assert_eq!(sa, sb, "{wire:?}");
-                    assert_eq!(ma, mb, "{wire:?}");
-                }
-                other => panic!("mismatched classification for {wire:?}: {other:?}"),
-            }
+            let err = parse_str(wire).unwrap_err();
+            assert_eq!(err.status, status, "{wire:?}");
+            assert_eq!(err.message, message, "{wire:?}");
         }
     }
 
@@ -915,6 +749,10 @@ mod tests {
     fn response_serialisation_includes_length_and_connection() {
         let mut out = Vec::new();
         write_response(&mut out, &Response::json(200, "{}".into()), true).unwrap();
+        assert_eq!(
+            out,
+            serialize_response(&Response::json(200, "{}".into()), true)
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));

@@ -13,6 +13,7 @@
 //! | `/schedule` | POST | net (text format) | quasi-static schedule or diagnosis |
 //! | `/analyze` | POST | net (text format) | reachability / deadlock / liveness / boundedness |
 //! | `/codegen` | POST | net (text format) | synthesised C (or Rust) + code metrics |
+//! | `/synthesize` | POST | transition system (lts text format) | a net realising it (region synthesis) or a separation witness |
 //! | `/healthz` | GET | — | liveness probe |
 //! | `/metrics` | GET | — | request/cache/queue counters |
 //!
@@ -23,8 +24,12 @@
 //! makes them cacheable whole: a mutex-sharded cache keyed by the 128-bit
 //! [`net_fingerprint`](fcpn_petri::net_fingerprint) (folded with endpoint + options)
 //! serves repeat queries without touching the scheduler. Saturation is explicit — past
-//! the bounded accept queue the daemon answers `503` immediately instead of stacking
-//! latency.
+//! the connection cap or the bounded dispatch queue the daemon answers `503`
+//! immediately instead of stacking latency.
+//!
+//! The daemon runs on one front end, an epoll reactor, so [`Server`] and its config
+//! and handle exist on Linux only. The request decoder, handlers, cache and JSON
+//! layer build everywhere.
 //!
 //! ## Quick start
 //!
@@ -68,6 +73,7 @@ mod metrics;
 pub mod persist;
 #[cfg(target_os = "linux")]
 pub mod reactor;
+#[cfg(target_os = "linux")]
 mod server;
 pub mod tenant;
 
@@ -77,6 +83,7 @@ pub use http::{HttpLimits, IncrementalParser, Request, Response};
 pub use load::{Backoff, Client, ClientResponse, FanoutReport, FanoutSpec, LoadReport, LoadSpec};
 pub use metrics::{Metrics, RuntimeStats};
 pub use persist::RecoveryStats;
+#[cfg(target_os = "linux")]
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use tenant::{Admission, TenantGovernor, TenantPolicy};
 

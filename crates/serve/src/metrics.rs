@@ -25,7 +25,8 @@ pub struct Metrics {
     pub responses_client_error: AtomicU64,
     /// 5xx responses written (including saturation 503s).
     pub responses_server_error: AtomicU64,
-    /// Connections rejected at accept time because the queue was full.
+    /// Connections or requests shed with `503`: past the connection cap, past the
+    /// full dispatch queue, or while draining.
     pub rejected_saturated: AtomicU64,
     /// Requests answered 429 because a tenant's token bucket ran dry.
     pub rejected_rate_limited: AtomicU64,
@@ -36,8 +37,7 @@ pub struct Metrics {
     /// Connections dropped mid-request/mid-response for blowing a read or write
     /// deadline (the slow-loris counters, both directions).
     pub deadline_disconnects: AtomicU64,
-    /// Connections currently open on the event-driven front end (gauge; 0 on the
-    /// threaded path, which has no per-connection registry).
+    /// Connections currently open (gauge).
     pub open_connections: AtomicU64,
     /// Requests cut short by their deadline guard.
     pub deadline_exceeded: AtomicU64,
@@ -55,9 +55,9 @@ pub struct Metrics {
     /// [`MemoryBudget`](fcpn_petri::MemoryBudget) — the typed `ResourceExhausted`
     /// path, answered `503` and never cached.
     pub resource_exhausted: AtomicU64,
-    /// Requests currently being parsed/handled by a worker.
+    /// Requests currently being handled by a worker.
     pub in_flight: AtomicU64,
-    /// Connections accepted into the queue.
+    /// Connections accepted, including those shed right after the accept.
     pub connections_accepted: AtomicU64,
     /// Entries reloaded from the persistent cache logs at startup (0 without
     /// persistence; set once at spawn).
@@ -106,14 +106,13 @@ impl Metrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Renders the `/metrics` JSON body. Cache counters, queue state, front-end
-    /// identity and the per-tenant breakdown live outside this struct and arrive via
+    /// Renders the `/metrics` JSON body. Cache counters, queue state, the
+    /// worker count and the per-tenant breakdown live outside this struct and arrive via
     /// [`RuntimeStats`].
     pub fn render(&self, stats: RuntimeStats) -> String {
         let get = |a: &AtomicU64| Json::from(a.load(Ordering::Relaxed));
         Json::obj([
             ("uptime_s", Json::from(self.started.elapsed().as_secs())),
-            ("front_end", Json::from(stats.front_end)),
             ("requests_total", get(&self.requests_total)),
             ("schedule_requests", get(&self.schedule_requests)),
             ("analyze_requests", get(&self.analyze_requests)),
@@ -162,12 +161,10 @@ impl Metrics {
 }
 
 /// Server-side state that accompanies the atomic counters in one `/metrics` render:
-/// cache counters, dispatch-queue occupancy, which front end is running, and the
-/// per-tenant breakdown.
+/// cache counters, dispatch-queue occupancy, the worker count and the per-tenant
+/// breakdown.
 #[derive(Debug)]
 pub struct RuntimeStats {
-    /// `"reactor"` or `"threaded"`.
-    pub front_end: &'static str,
     /// Whole-response cache hits.
     pub cache_hits: u64,
     /// Whole-response cache misses.
@@ -215,7 +212,6 @@ mod tests {
             .persist_recovered_entries
             .fetch_add(11, Ordering::Relaxed);
         let body = metrics.render(RuntimeStats {
-            front_end: "threaded",
             cache_hits: 5,
             cache_misses: 7,
             cache_entries: 2,

@@ -1,11 +1,11 @@
-//! The event-driven front end: a single epoll thread driving non-blocking
+//! The daemon's front end: a single epoll thread driving non-blocking
 //! per-connection state machines, feeding complete requests to a CPU worker pool.
 //!
 //! ## Why a reactor
 //!
-//! The threaded front end spends one OS thread per in-flight *connection*, so a few
-//! hundred slow or idle clients exhaust the worker pool no matter how fast the
-//! scheduling core is. Here one thread owns every socket: connections progress
+//! A thread-per-connection server spends one OS thread per in-flight *connection*,
+//! so a few hundred slow or idle clients exhaust the worker pool no matter how fast
+//! the scheduling core is. Here one thread owns every socket: connections progress
 //! through a small state machine (`Reading → Dispatched → Writing → Reading/closed`)
 //! as bytes arrive, and only *complete* requests cross the bounded dispatch queue to
 //! the workers. A slow-loris client therefore costs a few KiB of parser buffer and a
@@ -27,6 +27,9 @@
 //! - Wakeup: workers push finished responses onto a completion list and write one
 //!   byte into a non-blocking socketpair the reactor polls, so responses start
 //!   flowing at most one syscall after the handler returns.
+//!
+//! Requests are decoded by [`IncrementalParser`] and responses encoded by
+//! `http::serialize_response`; there is no other decoder or writer on the wire.
 //!
 //! Interest masks follow the state machine (`EPOLLIN` while reading, `EPOLLOUT`
 //! while a write is blocked, nothing while dispatched) — under level-triggered
@@ -343,7 +346,7 @@ impl ReactorHandle {
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
         listener.set_nonblocking(true)?;
-        let workers = core.config.workers.max(1);
+        let workers = core.config.workers;
         let shared = Arc::new(ReactorShared {
             queue: DispatchQueue::new(core.config.queue_capacity),
             completions: Mutex::new(Vec::new()),
@@ -394,11 +397,6 @@ impl ReactorHandle {
         }
     }
 
-    /// Blocks until the reactor stops (another thread must flip the shutdown flag).
-    pub(crate) fn join(mut self) {
-        self.join_threads();
-    }
-
     /// Immediate stop: open connections are dropped, queued jobs discarded, workers
     /// finish their current request.
     pub(crate) fn shutdown(mut self) {
@@ -415,7 +413,6 @@ impl ReactorHandle {
             Ok(mut guard) => *guard = Some(Instant::now() + grace),
             Err(poisoned) => *poisoned.into_inner() = Some(Instant::now() + grace),
         }
-        // `core.draining` was set by the caller (ServerHandle::drain).
         self.shared.core.draining.store(true, Ordering::SeqCst);
         self.shared.wake();
         // The reactor exits on its own once quiescent or past the deadline; workers
@@ -905,11 +902,7 @@ impl Reactor<'_> {
                         }
                     }
                 }
-                Err(HttpError::Disconnected) => {
-                    self.close_conn(slot);
-                    return;
-                }
-                Err(HttpError::Malformed { status, message }) => {
+                Err(HttpError { status, message }) => {
                     let response = Response::error(status, &message);
                     core.metrics.count_response(response.status);
                     if !self.start_write(slot, &response, true) {

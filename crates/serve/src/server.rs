@@ -1,26 +1,23 @@
-//! The daemon: front-end selection, shared request core, graceful shutdown.
+//! The daemon: configuration, the shared request core, graceful shutdown.
 //!
-//! ## Two front ends, one core
+//! One front end serves every connection: the epoll reactor in [`crate::reactor`].
+//! A single thread drives non-blocking per-connection state machines and hands only
+//! *complete* requests to the CPU worker pool over a bounded queue, so a slow or idle
+//! client costs a few kilobytes of buffer, never a thread. Everything the reactor and
+//! its workers share lives in one [`Core`]: config, metrics, cache, tenant governor,
+//! memory governor and the lifecycle flags, plus the routing (`dispatch`) and
+//! per-tenant admission (`admit`) logic.
 //!
-//! The daemon has two interchangeable connection front ends over one shared
-//! [`Core`] (config + metrics + cache + tenant governor + lifecycle flags):
+//! The reactor is built on epoll, so the daemon ([`Server`], [`ServerConfig`],
+//! [`ServerHandle`]) exists on Linux only; elsewhere these items are compiled out.
 //!
-//! - **Reactor** (`config.reactor`, the default on Linux): a single epoll thread
-//!   drives non-blocking per-connection state machines and hands only *complete*
-//!   requests to the CPU worker pool over a bounded queue — a slow or idle client
-//!   costs a few kilobytes of buffer, never a thread. See [`crate::reactor`].
-//! - **Threaded** (the fallback, and the only option off Linux): one accept thread
-//!   owns the [`TcpListener`]; accepted connections are pushed into a bounded FIFO
-//!   guarded by a mutex + condvar, and a fixed pool of worker threads pops
-//!   connections and serves them request-by-request with blocking reads.
-//!
-//! **Backpressure is immediate and explicit** on both paths: past the bounded
-//! queue (connections for the threaded path, parsed requests for the reactor) the
-//! daemon answers `503 Service Unavailable` with a `Retry-After` in microseconds
-//! instead of stacking latency. On top of that sits per-tenant admission control
-//! (token-bucket rate + in-flight quota keyed by the `X-Fcpn-Tenant` header,
-//! `429 Too Many Requests` on exhaustion — see [`crate::tenant`]), disabled by
-//! default and switched on with a non-zero tenant rate.
+//! **Backpressure is immediate and explicit**: past `max_connections` open sockets,
+//! or past the bounded dispatch queue of parsed requests, the daemon answers
+//! `503 Service Unavailable` with a `Retry-After` instead of stacking latency. On top
+//! of that sits per-tenant admission control (token-bucket rate + in-flight quota
+//! keyed by the `X-Fcpn-Tenant` header, `429 Too Many Requests` on exhaustion — see
+//! [`crate::tenant`]), disabled by default and switched on with a non-zero tenant
+//! rate.
 //!
 //! Per-request CPU is bounded by the handler guards (state budgets, allocation
 //! budgets, deadlines — see [`crate::handlers`]); per-request memory by the HTTP
@@ -29,17 +26,16 @@
 
 use crate::cache::ResultCache;
 use crate::handlers::{self, HandlerCtx, MemGovernor, RequestLimits};
-use crate::http::{self, HttpError, HttpLimits, Request, Response};
+use crate::http::{HttpLimits, Request, Response};
 use crate::metrics::{Metrics, RuntimeStats};
+use crate::reactor::ReactorHandle;
 use crate::tenant::{Admission, TenantGovernor, TenantPolicy};
-use std::collections::VecDeque;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Everything the daemon is configured with.
 #[derive(Debug, Clone)]
@@ -47,19 +43,16 @@ pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port (the bound address is reported by
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Use the event-driven epoll front end (Linux only; silently falls back to the
-    /// threaded front end elsewhere). Defaults to `true` on Linux.
-    pub reactor: bool,
-    /// Worker thread count.
+    /// Worker thread count; `0` is clamped to `1` when the daemon starts.
     pub workers: usize,
-    /// Bounded queue capacity: pending connections (threaded) or parsed-but-not-yet-
-    /// executing requests (reactor) beyond it are answered `503`.
+    /// Bounded dispatch-queue capacity: parsed-but-not-yet-executing requests beyond
+    /// it are answered `503`.
     pub queue_capacity: usize,
-    /// Reactor only: most connections held open at once; accepts beyond it are shed
-    /// with `503` at accept time.
+    /// Most connections held open at once; accepts beyond it are shed with `503` at
+    /// accept time.
     pub max_connections: usize,
-    /// Reactor only: keep-alive connections idle (no partial request buffered) longer
-    /// than this are closed. The threaded path's idle bound is `read_timeout`.
+    /// Keep-alive connections idle (no partial request buffered) longer than this are
+    /// closed.
     pub idle_timeout: Duration,
     /// Per-tenant admission policy (token-bucket rate, burst, in-flight quota).
     /// Metering is off while `tenant.rate == 0.0` (the default).
@@ -76,15 +69,10 @@ pub struct ServerConfig {
     /// entries from previous runs warm the cache at spawn, torn or corrupt log tails
     /// are truncated (see the `persist_*` metrics).
     pub cache_dir: Option<PathBuf>,
-    /// Socket read timeout: bounds each blocking `read` and therefore the keep-alive
-    /// idle wait (threaded path).
-    pub read_timeout: Duration,
     /// Total wall-clock budget for reading one request (head + body). This is the
-    /// slow-loris bound: a client dripping bytes still loses its worker (threaded) or
-    /// connection slot (reactor) when this elapses after the first byte.
+    /// slow-loris bound: a client dripping bytes still loses its connection slot when
+    /// this elapses after the first byte.
     pub request_read_deadline: Duration,
-    /// Socket write timeout (threaded path).
-    pub write_timeout: Duration,
     /// Total wall-clock budget for writing one response. This is the write-side
     /// slow-loris bound: a peer draining its receive window a byte at a time loses
     /// the connection when this elapses.
@@ -111,7 +99,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:7411".into(),
-            reactor: cfg!(target_os = "linux"),
             workers: 8,
             queue_capacity: 64,
             max_connections: 10_240,
@@ -121,9 +108,7 @@ impl Default for ServerConfig {
             cache_shards: 16,
             cache_bytes: 64 << 20,
             cache_dir: None,
-            read_timeout: Duration::from_secs(5),
             request_read_deadline: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(5),
             response_write_deadline: Duration::from_secs(10),
             drain_grace: Duration::from_secs(5),
             max_requests_per_connection: 4096,
@@ -134,8 +119,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything both front ends share: configuration, counters, the response cache,
-/// the tenant governor and the lifecycle flags.
+/// Everything the reactor and its workers share: configuration, counters, the
+/// response cache, the tenant and memory governors and the lifecycle flags.
 #[derive(Debug)]
 pub(crate) struct Core {
     pub(crate) config: ServerConfig,
@@ -145,8 +130,6 @@ pub(crate) struct Core {
     /// The process memory governor (`--mem-budget`); `None` runs without global
     /// memory admission control.
     pub(crate) governor: Option<MemGovernor>,
-    /// Which front end is running (`"reactor"` / `"threaded"`), for `/metrics`.
-    pub(crate) front_end: &'static str,
     pub(crate) shutdown: AtomicBool,
     /// Set by [`ServerHandle::drain`]: new connections are refused with `503`,
     /// in-flight requests run to completion (bounded by their deadlines), keep-alive
@@ -166,7 +149,10 @@ pub(crate) enum Admitted {
 }
 
 impl Core {
-    fn new(mut config: ServerConfig, front_end: &'static str) -> io::Result<Core> {
+    fn new(mut config: ServerConfig) -> io::Result<Core> {
+        // Clamped once here, so the pool that runs and the `workers` that `/metrics`
+        // reports agree.
+        config.workers = config.workers.max(1);
         // With a process budget armed, every request must be accountable to it: give
         // unbudgeted requests a default per-request budget (capped by both the pool
         // and the per-request maximum) unless the operator already chose one.
@@ -203,7 +189,6 @@ impl Core {
             governor,
             metrics,
             cache,
-            front_end,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             config,
@@ -271,7 +256,6 @@ impl Core {
             ("GET", "/metrics") => Response::json(
                 200,
                 self.metrics.render(RuntimeStats {
-                    front_end: self.front_end,
                     cache_hits: self.cache.hits(),
                     cache_misses: self.cache.misses(),
                     cache_entries: self.cache.len(),
@@ -303,41 +287,12 @@ impl Core {
     }
 }
 
-/// State shared by the threaded accept thread and its workers.
-#[derive(Debug)]
-struct ThreadedShared {
-    core: Arc<Core>,
-    queue: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-}
-
-impl ThreadedShared {
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<TcpStream>> {
-        match self.queue.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-/// The running front end behind a [`ServerHandle`].
-#[derive(Debug)]
-enum Front {
-    Threaded {
-        shared: Arc<ThreadedShared>,
-        accept_thread: Option<JoinHandle<()>>,
-        worker_threads: Vec<JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::ReactorHandle),
-}
-
 /// A running daemon: its bound address and the handles needed to stop it.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     core: Arc<Core>,
-    front: Front,
+    reactor: ReactorHandle,
 }
 
 /// Builder entry point for the daemon.
@@ -345,62 +300,23 @@ pub struct ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Binds `config.addr` and spawns the configured front end (epoll reactor or
-    /// threaded accept loop) plus the CPU worker pool; returns immediately.
+    /// Binds `config.addr` and spawns the epoll reactor plus the CPU worker pool;
+    /// returns immediately.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure, a filesystem failure while opening the persistent
     /// cache directory (damaged log *contents* are recovered from, never an error), or
-    /// an epoll setup failure in reactor mode.
+    /// an epoll setup failure.
     pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let use_reactor = config.reactor && cfg!(target_os = "linux");
-        let front_end = if use_reactor { "reactor" } else { "threaded" };
-        let core = Arc::new(Core::new(config, front_end)?);
-
-        #[cfg(target_os = "linux")]
-        if use_reactor {
-            let handle = crate::reactor::ReactorHandle::spawn(Arc::clone(&core), listener)?;
-            return Ok(ServerHandle {
-                addr,
-                core,
-                front: Front::Reactor(handle),
-            });
-        }
-
-        let workers = core.config.workers.max(1);
-        let shared = Arc::new(ThreadedShared {
-            queue: Mutex::new(VecDeque::with_capacity(core.config.queue_capacity)),
-            ready: Condvar::new(),
-            core: Arc::clone(&core),
-        });
-        let worker_threads = (0..workers)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("fcpn-serve-worker-{index}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("fcpn-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn accept thread")
-        };
-
+        let core = Arc::new(Core::new(config)?);
+        let reactor = ReactorHandle::spawn(Arc::clone(&core), listener)?;
         Ok(ServerHandle {
             addr,
             core,
-            front: Front::Threaded {
-                shared,
-                accept_thread: Some(accept_thread),
-                worker_threads,
-            },
+            reactor,
         })
     }
 }
@@ -411,215 +327,23 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Blocks until the daemon stops (i.e. until another thread flips the shutdown
-    /// flag — the front end runs until told to stop).
-    pub fn join(self) {
-        match self.front {
-            Front::Threaded {
-                accept_thread,
-                worker_threads,
-                ..
-            } => {
-                if let Some(accept) = accept_thread {
-                    let _ = accept.join();
-                }
-                for worker in worker_threads {
-                    let _ = worker.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Front::Reactor(handle) => handle.join(),
-        }
-    }
-
     /// Gracefully drains the daemon, then stops it.
     ///
     /// From the moment drain starts, new connections are refused with `503` and
     /// keep-alive connections close after the response in flight. Requests already
     /// being handled run to completion — each is bounded by its own deadline — waited
     /// for up to `config.drain_grace`. The persistent cache (if any) is fsynced before
-    /// the threads are stopped, so a drained daemon restarts with a warm, intact
-    /// cache. Blocks until all threads have joined.
+    /// returning, so a drained daemon restarts with a warm, intact cache. Blocks until
+    /// all threads have joined.
     pub fn drain(self) {
-        self.core.draining.store(true, Ordering::SeqCst);
-        match self.front {
-            Front::Threaded { ref shared, .. } => {
-                let grace_until = Instant::now() + self.core.config.drain_grace;
-                while Instant::now() < grace_until {
-                    let in_flight = self.core.metrics.in_flight.load(Ordering::SeqCst);
-                    let queued = shared.lock_queue().len();
-                    if in_flight == 0 && queued == 0 {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                let _ = self.core.cache.flush();
-                self.shutdown();
-            }
-            #[cfg(target_os = "linux")]
-            Front::Reactor(handle) => {
-                handle.drain();
-                let _ = self.core.cache.flush();
-            }
-        }
+        self.reactor.drain();
+        let _ = self.core.cache.flush();
     }
 
-    /// Stops the daemon: no new connections are accepted, queued work is dropped,
+    /// Stops the daemon: open connections are dropped, queued work is discarded,
     /// workers finish their current request and exit. Blocks until all threads have
     /// joined.
     pub fn shutdown(self) {
-        self.core.shutdown.store(true, Ordering::SeqCst);
-        match self.front {
-            Front::Threaded {
-                shared,
-                mut accept_thread,
-                mut worker_threads,
-            } => {
-                // Unblock the accept thread with a throwaway connection.
-                let _ = TcpStream::connect(self.addr);
-                shared.ready.notify_all();
-                if let Some(accept) = accept_thread.take() {
-                    let _ = accept.join();
-                }
-                // Workers may be parked in the condvar or blocked in a socket read
-                // (bounded by the read timeout); keep nudging until each exits.
-                shared.lock_queue().clear();
-                shared.ready.notify_all();
-                for worker in worker_threads.drain(..) {
-                    let _ = worker.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Front::Reactor(handle) => handle.shutdown(),
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &ThreadedShared) {
-    let core = &shared.core;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if core.shutting_down() {
-                    return;
-                }
-                // Persistent accept errors (EMFILE under fd pressure, say) would
-                // otherwise hard-spin this thread; back off briefly and retry.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if core.shutting_down() {
-            return;
-        }
-        core.metrics
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
-        if core.is_draining() {
-            // A draining daemon sheds new work the same way a saturated one does:
-            // immediately, explicitly, and without tying up a worker.
-            core.metrics
-                .rejected_saturated
-                .fetch_add(1, Ordering::Relaxed);
-            core.metrics.count_response(503);
-            reject_saturated(stream, core);
-            continue;
-        }
-        let mut queue = shared.lock_queue();
-        if queue.len() >= core.config.queue_capacity {
-            drop(queue);
-            core.metrics
-                .rejected_saturated
-                .fetch_add(1, Ordering::Relaxed);
-            core.metrics.count_response(503);
-            reject_saturated(stream, core);
-        } else {
-            queue.push_back(stream);
-            drop(queue);
-            shared.ready.notify_one();
-        }
-    }
-}
-
-/// Answers the shed `503` on the accept thread itself — the whole point of the bounded
-/// queue is that saturation costs one small write, not a worker.
-fn reject_saturated(mut stream: TcpStream, core: &Core) {
-    let _ = stream.set_write_timeout(Some(core.config.write_timeout));
-    let _ = http::write_response(&mut stream, &Core::overload_response(), true);
-}
-
-fn worker_loop(shared: &ThreadedShared) {
-    loop {
-        let stream = {
-            let mut queue = shared.lock_queue();
-            loop {
-                if shared.core.shutting_down() {
-                    return;
-                }
-                if let Some(stream) = queue.pop_front() {
-                    break stream;
-                }
-                queue = match shared.ready.wait(queue) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        };
-        serve_connection(stream, shared);
-    }
-}
-
-fn serve_connection(stream: TcpStream, shared: &ThreadedShared) {
-    let core = &shared.core;
-    let _ = stream.set_read_timeout(Some(core.config.read_timeout));
-    let _ = stream.set_write_timeout(Some(core.config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
-    for served in 0.. {
-        if core.shutting_down() {
-            return;
-        }
-        let deadline = Instant::now() + core.config.request_read_deadline;
-        let request = match http::read_request(&mut reader, &core.config.http, Some(deadline)) {
-            Ok(Some(request)) => request,
-            Ok(None) | Err(HttpError::Disconnected) => return,
-            Err(HttpError::Malformed { status, message }) => {
-                let response = Response::error(status, &message);
-                core.metrics.count_response(response.status);
-                let _ = http::write_response(reader.get_mut(), &response, true);
-                return;
-            }
-        };
-        core.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let response = if Core::is_probe(&request) {
-            core.dispatch(&request, shared.lock_queue().len())
-        } else {
-            match core.admit(&request) {
-                Admitted::Ok { tenant } => {
-                    core.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-                    let response = core.dispatch(&request, shared.lock_queue().len());
-                    core.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    core.tenants.release(&tenant);
-                    response
-                }
-                Admitted::Rejected(response) => response,
-            }
-        };
-        let elapsed_us = started.elapsed().as_micros();
-        core.metrics.count_response(response.status);
-        let response = response.with_header("X-Fcpn-Elapsed-Us", &elapsed_us.to_string());
-        let close = request.wants_close()
-            || served + 1 >= core.config.max_requests_per_connection
-            || core.shutting_down()
-            || core.is_draining();
-        let write_deadline = Instant::now() + core.config.response_write_deadline;
-        if http::write_response_deadline(reader.get_mut(), &response, close, Some(write_deadline))
-            .is_err()
-            || close
-        {
-            return;
-        }
+        self.reactor.shutdown();
     }
 }
