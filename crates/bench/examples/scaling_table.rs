@@ -11,6 +11,10 @@
 //! Without `--out` the JSON goes to stdout. `FCPN_BENCH_SAMPLES` controls the number of
 //! interleaved measurement rounds per case (default 9).
 //!
+//! Schema v9 follows the explorer's API: the token width is the engine's decision, so
+//! each explore row holds one `engine` object — the width the engine picked, its best
+//! time and its speedup over the naive explorer — and `speedup_vs_u64` is gone.
+//!
 //! Schema v8 drops the thread axis with the parallel engines it measured: explore
 //! `engine` rows are keyed by `token_width` alone (the `u64` arena and the adaptive
 //! default), and the `scheduler` rows lose their `threads` list.
@@ -58,7 +62,7 @@ use fcpn_codegen::{CodeMetrics, CompiledProgram};
 use fcpn_petri::analysis::{
     IncidenceMatrix, InvariantAnalysis, ReachabilityGraph, ReachabilityOptions,
 };
-use fcpn_petri::statespace::{ExploreOptions, StateSpace, TokenWidth};
+use fcpn_petri::statespace::StateSpace;
 use fcpn_petri::synthesis::{synthesize, Lts, SynthesisOptions};
 use fcpn_petri::{gallery, PetriNet};
 use fcpn_qss::{
@@ -76,12 +80,10 @@ struct ExploreCase {
 }
 
 struct EngineRow {
-    /// Resolved width name (`Auto` resolves at explore time).
+    /// The token width the engine picked.
     width: &'static str,
     best_ms: f64,
     speedup_vs_naive: f64,
-    /// Median per-round ratio against the `u64` engine.
-    speedup_vs_u64: f64,
 }
 
 struct ExploreRow {
@@ -91,7 +93,7 @@ struct ExploreRow {
     edges: usize,
     complete: bool,
     naive_ms: f64,
-    engine: Vec<EngineRow>,
+    engine: EngineRow,
 }
 
 fn samples() -> usize {
@@ -150,28 +152,18 @@ fn measure_synthesis(label: &'static str, net: &PetriNet) -> SynthesisRow {
 }
 
 fn measure_explore(case: &ExploreCase) -> ExploreRow {
-    // One engine configuration per token width, next to the naive baseline.
-    let configs = [TokenWidth::U64, TokenWidth::Auto];
-    let explore_options = |width: TokenWidth| ExploreOptions {
-        reach: case.options,
-        width,
-        ..ExploreOptions::default()
-    };
-
     let reference = StateSpace::explore(&case.net, case.options);
-    let (states, edges, complete) = (
+    let (states, edges, complete, width) = (
         reference.state_count(),
         reference.edge_count(),
         reference.is_complete(),
+        reference.token_width().name(),
     );
     drop(reference);
 
-    // Interleaved rounds: one naive + one of each engine configuration per round. The
-    // resolved width name is captured from the first round's space rather than from
-    // extra untimed explorations.
+    // Interleaved rounds: one naive and one engine exploration per round.
     let mut naive_times: Vec<f64> = Vec::new();
-    let mut engine_times: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    let mut resolved_widths: Vec<&'static str> = vec![""; configs.len()];
+    let mut engine_times: Vec<f64> = Vec::new();
     for _ in 0..samples() {
         let start = Instant::now();
         black_box(ReachabilityGraph::explore_naive(
@@ -179,33 +171,22 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
             case.options,
         ));
         naive_times.push(start.elapsed().as_secs_f64());
-        for (i, &width) in configs.iter().enumerate() {
-            let options = explore_options(width);
-            let start = Instant::now();
-            let space = StateSpace::explore_with(black_box(&case.net), &options);
-            let width = black_box(space.token_width());
-            drop(space);
-            engine_times[i].push(start.elapsed().as_secs_f64());
-            resolved_widths[i] = width.name();
-        }
+        let start = Instant::now();
+        black_box(StateSpace::explore(black_box(&case.net), case.options));
+        engine_times.push(start.elapsed().as_secs_f64());
     }
 
-    let engine = engine_times
-        .iter()
-        .enumerate()
-        .map(|(i, times)| EngineRow {
-            width: resolved_widths[i],
-            best_ms: times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
-            speedup_vs_naive: median(naive_times.iter().zip(times).map(|(n, e)| n / e).collect()),
-            speedup_vs_u64: median(
-                engine_times[0]
-                    .iter()
-                    .zip(times)
-                    .map(|(u, e)| u / e)
-                    .collect(),
-            ),
-        })
-        .collect();
+    let engine = EngineRow {
+        width,
+        best_ms: engine_times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
+        speedup_vs_naive: median(
+            naive_times
+                .iter()
+                .zip(&engine_times)
+                .map(|(n, e)| n / e)
+                .collect(),
+        ),
+    };
 
     ExploreRow {
         label: case.label,
@@ -564,12 +545,10 @@ fn main() {
             "  {:<20} {:>7} states {:>8} edges  naive {:>9.3}ms",
             row.label, row.states, row.edges, row.naive_ms
         );
-        for engine in &row.engine {
-            eprintln!(
-                "    width={:<4} best {:>9.3}ms  vs naive {:>5.2}x  vs u64 {:>5.2}x",
-                engine.width, engine.best_ms, engine.speedup_vs_naive, engine.speedup_vs_u64
-            );
-        }
+        eprintln!(
+            "    width={:<4} best {:>9.3}ms  vs naive {:>5.2}x",
+            row.engine.width, row.engine.best_ms, row.engine.speedup_vs_naive
+        );
     }
 
     eprintln!(
@@ -772,7 +751,7 @@ fn main() {
         .unwrap_or(1);
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"fcpn-bench/statespace-v8\",\n");
+    json.push_str("  \"schema\": \"fcpn-bench/statespace-v9\",\n");
     json.push_str(&format!("  \"samples_per_case\": {},\n", samples()));
     // The host the rows were recorded on: timings compare only within one host.
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
@@ -789,20 +768,12 @@ fn main() {
             row.complete,
             row.naive_ms,
         ));
-        json.push_str("     \"engine\": [\n");
-        for (j, engine) in row.engine.iter().enumerate() {
-            json.push_str(&format!(
-                "       {{\"token_width\": \"{}\", \"best_ms\": {:.3}, \
-                 \"speedup_vs_naive\": {:.2}, \"speedup_vs_u64\": {:.2}}}{}\n",
-                engine.width,
-                engine.best_ms,
-                engine.speedup_vs_naive,
-                engine.speedup_vs_u64,
-                if j + 1 < row.engine.len() { "," } else { "" }
-            ));
-        }
         json.push_str(&format!(
-            "     ]}}{}\n",
+            "     \"engine\": {{\"token_width\": \"{}\", \"best_ms\": {:.3}, \
+             \"speedup_vs_naive\": {:.2}}}}}{}\n",
+            row.engine.width,
+            row.engine.best_ms,
+            row.engine.speedup_vs_naive,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

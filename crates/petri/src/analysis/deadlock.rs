@@ -36,8 +36,8 @@ pub fn find_deadlock(net: &PetriNet, options: ReachabilityOptions) -> DeadlockRe
     find_deadlock_with(net, &ExploreOptions::from(options))
 }
 
-/// [`find_deadlock`] with explicit engine configuration (token-arena width and
-/// guards); the verdict is identical for every configuration.
+/// [`find_deadlock`] with explicit engine configuration (budgets and guards); guards
+/// that never fire leave the verdict unchanged.
 pub fn find_deadlock_with(net: &PetriNet, options: &ExploreOptions) -> DeadlockReport {
     find_deadlock_in(net, &StateSpace::explore_with(net, options))
 }

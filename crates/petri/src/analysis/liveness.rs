@@ -35,8 +35,8 @@ pub fn check_liveness(net: &PetriNet, options: ReachabilityOptions) -> LivenessR
     check_liveness_with(net, &ExploreOptions::from(options))
 }
 
-/// [`check_liveness`] with explicit engine configuration (token-arena width and
-/// guards); the verdict is identical for every configuration.
+/// [`check_liveness`] with explicit engine configuration (budgets and guards); guards
+/// that never fire leave the verdict unchanged.
 pub fn check_liveness_with(net: &PetriNet, options: &ExploreOptions) -> LivenessReport {
     check_liveness_in(net, &StateSpace::explore_with(net, options))
 }

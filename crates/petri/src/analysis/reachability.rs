@@ -5,15 +5,14 @@
 //! sizes handled by a quasi-static scheduler and for validating schedules produced by the
 //! `fcpn-qss` crate.
 //!
-//! Since the introduction of the arena-interned engine
-//! ([`StateSpace`](crate::statespace::StateSpace)), [`ReachabilityGraph`] is a thin
-//! compatibility view: [`ReachabilityGraph::explore`] delegates to the engine and then
-//! materialises owned [`Marking`]s and an edge list for callers that want them. The
-//! pre-engine explorer is retained as [`ReachabilityGraph::explore_naive`] — it is the
-//! reference implementation the property tests compare the engine against, and the
-//! baseline the benchmark suite measures speedups over.
+//! Every analysis explores through the arena-interned engine
+//! ([`StateSpace`](crate::statespace::StateSpace)). [`ReachabilityGraph`] is the output
+//! of the pre-engine explorer, retained as [`ReachabilityGraph::explore_naive`]: owned
+//! [`Marking`]s and an edge list. It is the reference implementation the property tests
+//! compare the engine against, and the baseline the benchmark suite measures speedups
+//! over.
 
-use crate::statespace::{ExploreOptions, SliceTable, StateSpace};
+use crate::statespace::SliceTable;
 use crate::{Marking, PetriNet, TransitionId};
 use std::collections::{HashMap, VecDeque};
 
@@ -55,11 +54,10 @@ pub struct ReachabilityEdge {
 /// come out in that order), which lets [`successors`](ReachabilityGraph::successors)
 /// binary-search its row instead of scanning the whole edge list.
 ///
-/// The public fields are kept for compatibility with pre-engine code but should be
-/// treated as **read-only views**: the accelerated queries rely on construction
-/// invariants — `edges` sorted by `from`, and a private hash index over `markings` —
-/// that direct mutation would silently invalidate. Build graphs through the `explore*`
-/// constructors (or [`ReachabilityGraph::from_statespace`]) only.
+/// The public fields should be treated as **read-only views**: the accelerated queries
+/// rely on construction invariants — `edges` sorted by `from`, and a private hash index
+/// over `markings` — that direct mutation would silently invalidate. Build graphs
+/// through the `explore_naive*` constructors only.
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     /// All distinct markings discovered; index 0 is the initial marking. Read-only:
@@ -93,64 +91,13 @@ impl PartialEq for ReachabilityGraph {
 impl Eq for ReachabilityGraph {}
 
 impl ReachabilityGraph {
-    /// Explores the state space of `net` from its initial marking using the
-    /// arena-interned engine.
-    pub fn explore(net: &PetriNet, options: ReachabilityOptions) -> Self {
-        Self::from_statespace(StateSpace::explore(net, options))
-    }
-
-    /// Explores the state space of `net` from an arbitrary marking using the
-    /// arena-interned engine.
-    pub fn explore_from(net: &PetriNet, initial: Marking, options: ReachabilityOptions) -> Self {
-        Self::from_statespace(StateSpace::explore_from(net, initial, options))
-    }
-
-    /// [`ReachabilityGraph::explore`] with explicit engine configuration — token-arena
-    /// width and guards ([`ExploreOptions`]). The resulting graph is canonical:
-    /// identical to the default for every width.
-    pub fn explore_with(net: &PetriNet, options: &ExploreOptions) -> Self {
-        Self::from_statespace(StateSpace::explore_with(net, options))
-    }
-
-    /// Converts an explored [`StateSpace`] into the owned-marking view.
-    pub fn from_statespace(space: StateSpace) -> Self {
-        let parts = space.into_parts();
-        let states = parts.fwd_offsets.len() - 1;
-        let markings: Vec<Marking> = (0..states)
-            .map(|s| {
-                Marking::from_vec(parts.arena[s * parts.places..(s + 1) * parts.places].to_vec())
-            })
-            .collect();
-        let mut edges = Vec::with_capacity(parts.edge_to.len());
-        for from in 0..states {
-            let (start, end) = (
-                parts.fwd_offsets[from] as usize,
-                parts.fwd_offsets[from + 1] as usize,
-            );
-            for e in start..end {
-                edges.push(ReachabilityEdge {
-                    from,
-                    transition: TransitionId::new(parts.edge_transition[e] as usize),
-                    to: parts.edge_to[e] as usize,
-                });
-            }
-        }
-        ReachabilityGraph {
-            markings,
-            edges,
-            complete: parts.complete,
-            frontier: parts.frontier.into_iter().map(|s| s as usize).collect(),
-            index: parts.table,
-        }
-    }
-
     /// The pre-engine breadth-first explorer: clones a [`Marking`] per expansion and
     /// interns through a `HashMap<Marking, usize>`.
     ///
     /// Retained as the reference implementation — `tests/properties.rs` asserts the
     /// engine discovers identical markings, edges and frontiers, and the
     /// `statespace` benchmark measures the engine's speedup against it. Prefer
-    /// [`ReachabilityGraph::explore`] everywhere else.
+    /// [`StateSpace::explore`](crate::statespace::StateSpace::explore) everywhere else.
     pub fn explore_naive(net: &PetriNet, options: ReachabilityOptions) -> Self {
         Self::explore_naive_from(net, net.initial_marking().clone(), options)
     }
@@ -324,6 +271,7 @@ impl ReachabilityGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::statespace::StateSpace;
     use crate::NetBuilder;
 
     fn bounded_cycle() -> PetriNet {
@@ -343,7 +291,7 @@ mod tests {
     #[test]
     fn explores_bounded_cycle_completely() {
         let net = bounded_cycle();
-        let g = ReachabilityGraph::explore(&net, ReachabilityOptions::default());
+        let g = ReachabilityGraph::explore_naive(&net, ReachabilityOptions::default());
         assert!(g.complete);
         assert_eq!(g.marking_count(), 2);
         assert_eq!(g.edges.len(), 2);
@@ -356,15 +304,29 @@ mod tests {
     #[test]
     fn engine_and_naive_agree_on_cycle() {
         let net = bounded_cycle();
-        let engine = ReachabilityGraph::explore(&net, ReachabilityOptions::default());
+        let engine = StateSpace::explore(&net, ReachabilityOptions::default());
         let naive = ReachabilityGraph::explore_naive(&net, ReachabilityOptions::default());
-        assert_eq!(engine, naive);
+        let markings: Vec<Marking> = (0..engine.state_count() as u32)
+            .map(|s| engine.marking(s))
+            .collect();
+        assert_eq!(markings, naive.markings);
+        let edges: Vec<ReachabilityEdge> = engine
+            .edges()
+            .map(|(from, transition, to)| ReachabilityEdge {
+                from: from as usize,
+                transition,
+                to: to as usize,
+            })
+            .collect();
+        assert_eq!(edges, naive.edges);
+        assert_eq!(engine.is_complete(), naive.complete);
+        assert!(engine.frontier().is_empty() && naive.frontier.is_empty());
     }
 
     #[test]
     fn lookups_reject_foreign_markings() {
         let net = bounded_cycle();
-        let g = ReachabilityGraph::explore(&net, ReachabilityOptions::default());
+        let g = ReachabilityGraph::explore_naive(&net, ReachabilityOptions::default());
         assert_eq!(g.index_of(&Marking::from_vec(vec![5, 5])), None);
         assert!(!g.contains(&Marking::from_vec(vec![1, 1, 1])));
     }
@@ -372,7 +334,7 @@ mod tests {
     #[test]
     fn respects_marking_budget() {
         let net = bounded_cycle();
-        let g = ReachabilityGraph::explore(
+        let g = ReachabilityGraph::explore_naive(
             &net,
             ReachabilityOptions {
                 max_markings: 1,
@@ -390,7 +352,7 @@ mod tests {
         let p = b.place("p", 0);
         b.arc_t_p(t1, p, 1).unwrap();
         let net = b.build().unwrap();
-        let g = ReachabilityGraph::explore(
+        let g = ReachabilityGraph::explore_naive(
             &net,
             ReachabilityOptions {
                 max_markings: 1000,
@@ -415,7 +377,7 @@ mod tests {
         b.arc_t_p(t1, p, 1).unwrap();
         b.arc_p_t(p, t2, 1).unwrap();
         let net = b.build().unwrap();
-        let g = ReachabilityGraph::explore(&net, ReachabilityOptions::default());
+        let g = ReachabilityGraph::explore_naive(&net, ReachabilityOptions::default());
         assert!(g.complete);
         assert_eq!(g.dead_markings().len(), 1);
     }
@@ -424,7 +386,7 @@ mod tests {
     fn can_eventually_fire_propagates_backwards() {
         let net = bounded_cycle();
         let t2 = net.transition_by_name("t2").unwrap();
-        let g = ReachabilityGraph::explore(&net, ReachabilityOptions::default());
+        let g = ReachabilityGraph::explore_naive(&net, ReachabilityOptions::default());
         let can = g.can_eventually_fire(&net, t2);
         // From both reachable markings t2 can eventually fire (it is a live cycle).
         assert_eq!(can, vec![true, true]);
@@ -433,7 +395,7 @@ mod tests {
     #[test]
     fn successors_row_is_exact() {
         let net = crate::gallery::figure5();
-        let g = ReachabilityGraph::explore(
+        let g = ReachabilityGraph::explore_naive(
             &net,
             ReachabilityOptions {
                 max_markings: 2_000,

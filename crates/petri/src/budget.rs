@@ -24,7 +24,8 @@
 //!
 //! Determinism: charges the engines issue are pure functions of the canonical
 //! exploration (the cost model below), so the same net under the same budget fails at
-//! the same stage with the same error — at any token width. An armed budget that is never exhausted perturbs nothing: outputs are bit-for-bit
+//! the same stage with the same error — whichever token width the explorer picks. An
+//! armed budget that is never exhausted perturbs nothing: outputs are bit-for-bit
 //! identical to the unlimited default.
 
 use std::error::Error;
@@ -280,8 +281,7 @@ impl Eq for MemoryBudget {}
 /// draws it down without touching the shared counter and refills it in fixed chunks
 /// when it runs dry. Because the refill points are a pure function of the sequence of
 /// charges, two engines issuing the same charge sequence against equal budgets fail
-/// at the same charge with the same error — the property the cross-width determinism
-/// tests pin.
+/// at the same charge with the same error — the property the determinism tests pin.
 ///
 /// Dropping the meter returns the unspent allowance to the budget.
 #[derive(Debug)]

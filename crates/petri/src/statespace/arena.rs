@@ -17,20 +17,18 @@
 use super::interner::{Probe, SliceTable};
 use super::{hash_tokens, StateId};
 
-/// A machine word the token arena can be monomorphised over.
+/// A machine word the token arena can be monomorphised over: `u8` or `u64`.
 ///
-/// The engine picks the narrowest width whose range provably covers every token count
-/// the exploration can store (see
-/// [`ExploreOptions::width`](super::ExploreOptions::width)): most gallery nets fit `u8`,
-/// which cuts the memory traffic of state copies, probe comparisons and arena appends 8×
-/// relative to the `u64` baseline.
+/// The explorer stores tokens as `u8` when its bound proves every stored count fits
+/// (see [`TokenWidth`](super::TokenWidth)) and as `u64` otherwise; the firing session
+/// and every public query serve `u64`.
 ///
-/// All arithmetic is defined on the token *values*, so every width hashes and compares
+/// All arithmetic is defined on the token *values*, so both widths hash and compare
 /// markings identically; the width is an encoding choice, never a semantic one.
 pub trait TokenWord: Copy + Eq + Ord + std::fmt::Debug + Send + Sync + 'static {
     /// Largest token count this width can store.
     const MAX_TOKENS: u64;
-    /// Width name used by benchmark schemas and diagnostics (`"u8"`, `"u16"`, `"u64"`).
+    /// Width name used by benchmark schemas and diagnostics (`"u8"`, `"u64"`).
     const NAME: &'static str;
 
     /// Converts from a `u64` token count.
@@ -54,47 +52,40 @@ pub trait TokenWord: Copy + Eq + Ord + std::fmt::Debug + Send + Sync + 'static {
     fn unapply_delta(self, delta: i64) -> Self;
 }
 
-macro_rules! narrow_token_word {
-    ($ty:ty, $name:literal) => {
-        impl TokenWord for $ty {
-            const MAX_TOKENS: u64 = <$ty>::MAX as u64;
-            const NAME: &'static str = $name;
+impl TokenWord for u8 {
+    const MAX_TOKENS: u64 = u8::MAX as u64;
+    const NAME: &'static str = "u8";
 
-            #[inline]
-            fn from_u64(value: u64) -> Self {
-                value as $ty
-            }
+    #[inline]
+    fn from_u64(value: u64) -> Self {
+        value as u8
+    }
 
-            #[inline]
-            fn to_u64(self) -> u64 {
-                self as u64
-            }
+    #[inline]
+    fn to_u64(self) -> u64 {
+        self as u64
+    }
 
-            #[inline]
-            fn apply_delta(self, delta: i64) -> Option<Self> {
-                if delta >= 0 {
-                    // `self + delta` cannot overflow u64 (self ≤ MAX_TOKENS, delta ≤ i64::MAX).
-                    let v = self as u64 + delta as u64;
-                    if v <= Self::MAX_TOKENS {
-                        Some(v as $ty)
-                    } else {
-                        None
-                    }
-                } else {
-                    Some(((self as u64) - delta.unsigned_abs()) as $ty)
-                }
+    #[inline]
+    fn apply_delta(self, delta: i64) -> Option<Self> {
+        if delta >= 0 {
+            // `self + delta` cannot overflow u64 (self ≤ MAX_TOKENS, delta ≤ i64::MAX).
+            let v = self as u64 + delta as u64;
+            if v <= Self::MAX_TOKENS {
+                Some(v as u8)
+            } else {
+                None
             }
-
-            #[inline]
-            fn unapply_delta(self, delta: i64) -> Self {
-                (self as u64).wrapping_sub(delta as u64) as $ty
-            }
+        } else {
+            Some(((self as u64) - delta.unsigned_abs()) as u8)
         }
-    };
-}
+    }
 
-narrow_token_word!(u8, "u8");
-narrow_token_word!(u16, "u16");
+    #[inline]
+    fn unapply_delta(self, delta: i64) -> Self {
+        (self as u64).wrapping_sub(delta as u64) as u8
+    }
+}
 
 impl TokenWord for u64 {
     const MAX_TOKENS: u64 = u64::MAX;
@@ -129,7 +120,7 @@ impl TokenWord for u64 {
 /// The `u64` instantiation is the identity and moves the vector without copying.
 pub(crate) fn widen_arena<W: TokenWord>(tokens: Vec<W>) -> Vec<u64> {
     // Specialisation by value: for W = u64 the iterator maps through `to_u64` which the
-    // optimiser collapses to a no-op copy; the narrow widths genuinely convert.
+    // optimiser collapses to a no-op copy; the `u8` arena genuinely converts.
     tokens.into_iter().map(TokenWord::to_u64).collect()
 }
 
@@ -258,7 +249,6 @@ mod tests {
         assert_eq!(200u8.apply_delta(56), None);
         assert_eq!(100u8.apply_delta(-100), Some(0u8));
         assert_eq!(155u8.unapply_delta(55), 100u8);
-        assert_eq!(u16::MAX_TOKENS, 65_535);
         assert_eq!(u64::MAX.apply_delta(1), None);
         assert_eq!(5u64.apply_delta(-3), Some(2));
         assert_eq!(2u64.unapply_delta(-3), 5);

@@ -1,27 +1,29 @@
-//! The sequential explorer, adaptive width selection and the [`StateSpace`] graph.
+//! The sequential explorer, its token-width selection and the [`StateSpace`] graph.
 //!
 //! # Example
 //!
-//! Exploring with explicit engine knobs — here forcing the full-width arena — produces
-//! the same canonical graph as the adaptive default:
+//! The explorer picks the arena word from its bound: a small token cut-off proves every
+//! stored count fits `u8`, a cut-off above 255 does not, and both build the same
+//! canonical graph of a bounded net:
 //!
 //! ```
 //! use fcpn_petri::analysis::ReachabilityOptions;
 //! use fcpn_petri::gallery;
-//! use fcpn_petri::statespace::{ExploreOptions, StateSpace, TokenWidth};
+//! use fcpn_petri::statespace::{StateSpace, TokenWidth};
 //!
 //! let net = gallery::marked_ring(5, 2);
-//! let auto = StateSpace::explore(&net, ReachabilityOptions::default());
-//! let wide = StateSpace::explore_with(
+//! let narrow = StateSpace::explore(&net, ReachabilityOptions::default());
+//! let wide = StateSpace::explore(
 //!     &net,
-//!     &ExploreOptions {
-//!         width: TokenWidth::U64,
-//!         ..ExploreOptions::default()
+//!     ReachabilityOptions {
+//!         max_tokens_per_place: 1_000,
+//!         ..ReachabilityOptions::default()
 //!     },
 //! );
-//! assert_eq!(auto.token_width(), TokenWidth::U8); // narrow arena chosen automatically
-//! assert_eq!(auto.state_count(), wide.state_count());
-//! assert_eq!(auto.edge_count(), wide.edge_count());
+//! assert_eq!(narrow.token_width(), TokenWidth::U8);
+//! assert_eq!(wide.token_width(), TokenWidth::U64);
+//! assert_eq!(narrow.state_count(), wide.state_count());
+//! assert_eq!(narrow.edge_count(), wide.edge_count());
 //! ```
 
 use super::arena::{widen_arena, TokenWord};
@@ -39,17 +41,19 @@ use crate::{Marking, PetriNet, TransitionId};
 /// in the tens of microseconds — far inside the service-level 50 ms bound.
 pub(crate) const CANCEL_STRIDE: u64 = 256;
 
-/// Canonical byte cost charged per admitted state: the arena row plus the raw hash
-/// plus the (amortized, ~50% load) interner slot.
+/// Canonical byte cost charged per admitted state: the `u64` arena row the returned
+/// [`StateSpace`] keeps, plus the raw hash, plus the (amortized, ~50% load) interner
+/// slot.
 ///
 /// The explorer charges this **canonical cost model** — a pure function of the
-/// admission sequence and the token width — rather than its physical allocations, so
-/// the same net under the same [`MemoryBudget`] exhausts at exactly the same state
-/// with exactly the same error on every run. Physical overshoot (`Vec` growth slack) is bounded by a small multiple of the
-/// admitted bytes and by the `max_markings` clamp.
+/// admission sequence, whatever word the arena uses while exploring — rather than its
+/// physical allocations, so the same net under the same [`MemoryBudget`] exhausts at
+/// exactly the same state with exactly the same error on every run. Physical overshoot
+/// (`Vec` growth slack) is bounded by a small multiple of the admitted bytes and by the
+/// `max_markings` clamp.
 #[inline]
-pub(crate) fn state_cost<W>(places: usize) -> u64 {
-    (places * std::mem::size_of::<W>()) as u64 + 8 + 24
+pub(crate) fn state_cost(places: usize) -> u64 {
+    (places * std::mem::size_of::<u64>()) as u64 + 8 + 24
 }
 
 /// Canonical byte cost charged per admitted CSR edge (`edge_to` + `edge_transition`).
@@ -58,63 +62,40 @@ const EDGE_COST: u64 = 8;
 /// Stage label of the explorers' budget charges.
 const STAGE_REACHABILITY: &str = "reachability";
 
-/// The storage width of the token arena.
+/// The word the explorer stored tokens in — a fact about a finished exploration, not a
+/// setting.
 ///
-/// `Auto` (the default) derives the narrowest sound width from the exploration bounds:
-/// a stored state is either the initial marking or the successor of a state whose
-/// tokens all fit the cut-off, so no stored token can exceed
-/// `max(initial_max, max_tokens_per_place + max_positive_delta)`. When that bound fits
-/// `u8`/`u16`, the narrow arena cuts the hot loop's memory traffic 4–8×.
-///
-/// A forced width narrower than the sound bound is silently widened to the narrowest
-/// sound width — the engine never trades correctness for bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The explorer picks [`TokenWidth::U8`] when its bound proves no stored token can
+/// exceed `u8::MAX`: a stored state is either the initial marking or the successor of
+/// a state whose tokens all fit the cut-off, so every count is at most
+/// `max(initial_max, max_tokens_per_place + max_positive_delta)`. The narrow arena cuts
+/// the hot loop's memory traffic; every other exploration runs at [`TokenWidth::U64`].
+/// Either way the resulting graph is the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenWidth {
-    /// Select the narrowest sound width automatically (the default).
-    #[default]
-    Auto,
     /// 8-bit tokens (bound ≤ 255).
     U8,
-    /// 16-bit tokens (bound ≤ 65 535).
-    U16,
-    /// Full-width tokens; always sound.
+    /// Full-width tokens.
     U64,
 }
 
 impl TokenWidth {
-    /// The width name as used in benchmark schemas (`"u8"`, `"u16"`, `"u64"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`TokenWidth::Auto`], which is a selection policy rather than a width;
-    /// resolved spaces ([`StateSpace::token_width`]) never carry it.
+    /// The width name as used in benchmark schemas (`"u8"`, `"u64"`).
     pub fn name(self) -> &'static str {
         match self {
-            TokenWidth::Auto => panic!("Auto is not a concrete token width"),
             TokenWidth::U8 => u8::NAME,
-            TokenWidth::U16 => u16::NAME,
             TokenWidth::U64 => u64::NAME,
-        }
-    }
-
-    pub(crate) fn rank(self) -> u8 {
-        match self {
-            TokenWidth::U8 => 0,
-            TokenWidth::U16 => 1,
-            TokenWidth::Auto | TokenWidth::U64 => 2,
         }
     }
 }
 
-/// Exploration configuration beyond the [`ReachabilityOptions`] budget: token-arena
-/// width and the run's guards. The analysis entry points (`find_deadlock_with`,
-/// `check_liveness_with`, …) accept this struct to expose the same knobs.
+/// Exploration configuration beyond the [`ReachabilityOptions`] budget: the run's
+/// guards. The analysis entry points (`find_deadlock_with`, `check_liveness_with`, …)
+/// accept this struct to expose the same guards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreOptions {
     /// State budget and token cut-off (identical semantics to the sequential explorer).
     pub reach: ReachabilityOptions,
-    /// Token-arena width selection.
-    pub width: TokenWidth,
     /// Cooperative cancellation: the explorers poll this token every few hundred
     /// expanded states and abandon the exploration with [`Interrupt::Cancelled`] when
     /// it fires. The default ([`CancelToken::never`]) costs nothing and never fires; a
@@ -131,7 +112,6 @@ impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
             reach: ReachabilityOptions::default(),
-            width: TokenWidth::Auto,
             cancel: CancelToken::never(),
             memory: MemoryBudget::unlimited(),
         }
@@ -147,9 +127,8 @@ impl From<ReachabilityOptions> for ExploreOptions {
     }
 }
 
-/// Picks the narrowest token width whose range provably covers every token count the
-/// exploration can store, then widens to the requested width when that is wider.
-fn select_width(net: &PetriNet, initial: &[u64], options: &ExploreOptions) -> TokenWidth {
+/// Picks `u8` when the exploration bound proves every stored token fits it, else `u64`.
+fn select_width(net: &PetriNet, initial: &[u64], reach: &ReachabilityOptions) -> TokenWidth {
     let initial_max = initial.iter().copied().max().unwrap_or(0);
     let max_positive_delta = net
         .transitions()
@@ -162,22 +141,14 @@ fn select_width(net: &PetriNet, initial: &[u64], options: &ExploreOptions) -> To
     // state, whose tokens are all ≤ the cut-off; one firing adds at most
     // `max_positive_delta` to any place.
     let bound = initial_max.max(
-        options
-            .reach
+        reach
             .max_tokens_per_place
             .saturating_add(max_positive_delta),
     );
-    let minimal = if bound <= u8::MAX_TOKENS {
+    if bound <= u8::MAX_TOKENS {
         TokenWidth::U8
-    } else if bound <= u16::MAX_TOKENS {
-        TokenWidth::U16
     } else {
         TokenWidth::U64
-    };
-    match options.width {
-        TokenWidth::Auto => minimal,
-        forced if forced.rank() >= minimal.rank() => forced,
-        _ => minimal,
     }
 }
 
@@ -356,7 +327,7 @@ fn explore_seq<W: TokenWord>(
     let places = tables.places;
     let mut cancel_gate = CancelGate::new(CANCEL_STRIDE);
     let mut meter = memory.meter();
-    let state_bytes = state_cost::<W>(places);
+    let state_bytes = state_cost(places);
     meter.charge(state_bytes, STAGE_REACHABILITY)?;
 
     let mut arena: Vec<W> = Vec::with_capacity(places.max(1) * 256);
@@ -467,9 +438,9 @@ fn explore_seq<W: TokenWord>(
 ///
 /// Construction ([`StateSpace::explore`]) is a breadth-first enumeration with the same
 /// budget/cut-off semantics as [`ReachabilityOptions`]; queries run over CSR adjacency.
-/// [`StateSpace::explore_with`] additionally exposes the token-width knob and the run's
-/// guards; whatever width builds the space, the resulting graph is canonical — identical
-/// ids, edges and frontier across widths.
+/// [`StateSpace::explore_with`] additionally arms the run's guards. Whichever arena word
+/// the explorer picks ([`StateSpace::token_width`]), the resulting graph is canonical —
+/// identical ids, edges and frontier at both widths.
 #[derive(Debug)]
 pub struct StateSpace {
     places: usize,
@@ -518,14 +489,12 @@ impl Clone for StateSpace {
 }
 
 impl StateSpace {
-    /// Explores the state space of `net` from its initial marking (sequential, automatic
-    /// width).
+    /// Explores the state space of `net` from its initial marking.
     pub fn explore(net: &PetriNet, options: ReachabilityOptions) -> Self {
         Self::explore_with(net, &ExploreOptions::from(options))
     }
 
-    /// Explores the state space of `net` from an arbitrary marking (sequential,
-    /// automatic width).
+    /// Explores the state space of `net` from an arbitrary marking.
     ///
     /// # Panics
     ///
@@ -534,7 +503,7 @@ impl StateSpace {
         Self::explore_from_with(net, initial, &ExploreOptions::from(options))
     }
 
-    /// Explores with explicit width and guard configuration from the initial marking.
+    /// Explores with explicit guard configuration from the initial marking.
     ///
     /// # Panics
     ///
@@ -546,7 +515,7 @@ impl StateSpace {
             .expect("exploration interrupted; use try_explore_with with armed guards")
     }
 
-    /// Explores with explicit width and guard configuration from an arbitrary marking.
+    /// Explores with explicit guard configuration from an arbitrary marking.
     ///
     /// # Panics
     ///
@@ -587,14 +556,11 @@ impl StateSpace {
         options: &ExploreOptions,
     ) -> Result<Self, Interrupt> {
         assert_eq!(initial.len(), net.place_count(), "marking length mismatch");
-        let width = select_width(net, initial.as_slice(), options);
+        let width = select_width(net, initial.as_slice(), &options.reach);
         let tables = NetTables::build(net);
         match width {
             TokenWidth::U8 => Self::run::<u8>(&tables, initial.as_slice(), options, width),
-            TokenWidth::U16 => Self::run::<u16>(&tables, initial.as_slice(), options, width),
-            TokenWidth::Auto | TokenWidth::U64 => {
-                Self::run::<u64>(&tables, initial.as_slice(), options, width)
-            }
+            TokenWidth::U64 => Self::run::<u64>(&tables, initial.as_slice(), options, width),
         }
     }
 
@@ -611,12 +577,6 @@ impl StateSpace {
             &options.cancel,
             &options.memory,
         )?;
-        // The narrow arena widens to `u64` words for the canonical [`StateSpace`];
-        // charge the width delta so a budget covers what the caller actually keeps.
-        let widen_extra = (8 - std::mem::size_of::<W>()) as u64 * raw.arena.len() as u64;
-        if widen_extra > 0 {
-            options.memory.charge(widen_extra, "widen")?;
-        }
         Ok(Self::from_raw(raw, tables.places, width))
     }
 
@@ -635,7 +595,8 @@ impl StateSpace {
         }
     }
 
-    /// The token width the arena was explored with (never [`TokenWidth::Auto`]).
+    /// The word the explorer stored tokens in while building this space; the queries
+    /// serve `u64` either way.
     pub fn token_width(&self) -> TokenWidth {
         self.width
     }
@@ -853,31 +814,6 @@ impl StateSpace {
         trace.reverse();
         trace
     }
-
-    pub(crate) fn into_parts(self) -> StateSpaceParts {
-        StateSpaceParts {
-            places: self.places,
-            arena: self.arena,
-            table: self.table,
-            fwd_offsets: self.fwd_offsets,
-            edge_to: self.edge_to,
-            edge_transition: self.edge_transition,
-            complete: self.complete,
-            frontier: self.frontier,
-        }
-    }
-}
-
-/// Raw pieces handed to the `ReachabilityGraph` compatibility view.
-pub(crate) struct StateSpaceParts {
-    pub places: usize,
-    pub arena: Vec<u64>,
-    pub table: SliceTable,
-    pub fwd_offsets: Vec<u32>,
-    pub edge_to: Vec<u32>,
-    pub edge_transition: Vec<u32>,
-    pub complete: bool,
-    pub frontier: Vec<StateId>,
 }
 
 #[cfg(test)]
@@ -1005,53 +941,34 @@ mod tests {
     }
 
     #[test]
-    fn width_selection_honours_bounds_and_requests() {
+    fn width_selection_follows_the_bound() {
         let net = bounded_cycle();
-        let defaults = ExploreOptions::default();
+        let initial = net.initial_marking().as_slice();
+        let cutoff = |max_tokens_per_place| ReachabilityOptions {
+            max_markings: 10,
+            max_tokens_per_place,
+        };
+        // The default budget (cut-off 64, unit deltas) fits the narrow u8 arena.
         assert_eq!(
-            select_width(&net, net.initial_marking().as_slice(), &defaults),
+            select_width(&net, initial, &ReachabilityOptions::default()),
             TokenWidth::U8
         );
-        // A huge cut-off forces the full width even under Auto.
-        let wide = ExploreOptions {
-            reach: ReachabilityOptions {
-                max_markings: 10,
-                max_tokens_per_place: u64::MAX / 2,
-            },
-            ..ExploreOptions::default()
-        };
+        // The bound is cut-off + one firing's growth: 254 + 1 fits u8, 255 + 1 does not.
+        assert_eq!(select_width(&net, initial, &cutoff(254)), TokenWidth::U8);
+        assert_eq!(select_width(&net, initial, &cutoff(255)), TokenWidth::U64);
         assert_eq!(
-            select_width(&net, net.initial_marking().as_slice(), &wide),
+            select_width(&net, initial, &cutoff(u64::MAX)),
             TokenWidth::U64
         );
-        // Forcing a narrower width than the bound allows silently widens.
-        let forced_narrow = ExploreOptions {
-            width: TokenWidth::U8,
-            ..wide
-        };
-        assert_eq!(
-            select_width(&net, net.initial_marking().as_slice(), &forced_narrow),
-            TokenWidth::U64
-        );
-        // A wide initial marking also widens, even with a tiny cut-off.
+        // A wide initial marking needs u64 even with a tiny cut-off.
         let mut b = NetBuilder::new("wide-initial");
         let p = b.place("p", 1_000);
         let t = b.transition("t");
         b.arc_p_t(p, t, 1).unwrap();
         let net = b.build().unwrap();
         assert_eq!(
-            select_width(
-                &net,
-                net.initial_marking().as_slice(),
-                &ExploreOptions {
-                    reach: ReachabilityOptions {
-                        max_markings: 10,
-                        max_tokens_per_place: 3,
-                    },
-                    ..ExploreOptions::default()
-                }
-            ),
-            TokenWidth::U16
+            select_width(&net, net.initial_marking().as_slice(), &cutoff(3)),
+            TokenWidth::U64
         );
     }
 
@@ -1059,51 +976,20 @@ mod tests {
     fn pre_fired_token_cancels_exploration() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        for width in [TokenWidth::Auto, TokenWidth::U64] {
+        for max_tokens_per_place in [64, 1_000] {
             let options = ExploreOptions {
-                width,
+                reach: ReachabilityOptions {
+                    max_tokens_per_place,
+                    ..ReachabilityOptions::default()
+                },
                 cancel: cancel.clone(),
                 ..ExploreOptions::default()
             };
             assert_eq!(
                 StateSpace::try_explore_with(&gallery::marked_ring(8, 4), &options).unwrap_err(),
                 Interrupt::Cancelled,
-                "{width:?}"
+                "cut-off {max_tokens_per_place}"
             );
-        }
-    }
-
-    #[test]
-    fn forced_widths_explore_identically() {
-        let net = gallery::figure5();
-        let reach = ReachabilityOptions {
-            max_markings: 500,
-            max_tokens_per_place: 4,
-        };
-        let baseline = StateSpace::explore_with(
-            &net,
-            &ExploreOptions {
-                reach,
-                width: TokenWidth::U64,
-                ..ExploreOptions::default()
-            },
-        );
-        for width in [TokenWidth::Auto, TokenWidth::U8, TokenWidth::U16] {
-            let space = StateSpace::explore_with(
-                &net,
-                &ExploreOptions {
-                    reach,
-                    width,
-                    ..ExploreOptions::default()
-                },
-            );
-            assert_eq!(space.state_count(), baseline.state_count());
-            assert_eq!(space.edge_count(), baseline.edge_count());
-            assert_eq!(space.is_complete(), baseline.is_complete());
-            assert_eq!(space.frontier(), baseline.frontier());
-            for id in 0..baseline.state_count() as StateId {
-                assert_eq!(space.tokens(id), baseline.tokens(id));
-            }
         }
     }
 }

@@ -8,11 +8,13 @@
 //!
 //! * stores every discovered marking contiguously in **one flat token arena**, addressed
 //!   by dense `u32` state ids — no per-state allocation, no pointer chasing;
-//! * picks the arena's word size **adaptively**: when the exploration bounds prove that
-//!   no stored token can exceed `u8::MAX` (or `u16::MAX`), tokens are stored in a narrow
-//!   `u8`/`u16` arena monomorphised over [`TokenWord`], cutting the
-//!   memory traffic of the hot loop (state copies, probe comparisons, arena appends)
-//!   4–8× relative to `u64`;
+//! * picks the arena's word from its bound: when the cut-off proves that no stored token
+//!   can exceed `u8::MAX`, tokens are stored in a `u8` arena (monomorphised over
+//!   [`TokenWord`]), which cuts the memory traffic of the hot loop (state copies, probe
+//!   comparisons, arena appends) relative to `u64` (the `engine` rows of
+//!   `BENCH_statespace.json` record each net's width and time); otherwise the arena is
+//!   `u64`. No option selects the width; [`StateSpace::token_width`] reports which one
+//!   ran;
 //! * interns states through an open-addressing **hash-of-slice table** that stores only
 //!   `(hash, id)` pairs and compares candidate slices directly against the arena — a
 //!   successor marking is hashed exactly once, in its scratch buffer, before any copy;
@@ -25,15 +27,15 @@
 //!   backward traversal instead of an O(V·E) fixpoint;
 //! * re-exposes the same machinery for **sequential trace execution**:
 //!   [`FiringSession`] is a long-lived token-game cursor (fire/undo, bitmask
-//!   enabled-set queries, checkpoint/rollback, on-demand width widening) used by the
-//!   RTOS simulators and the ATM Table I harness instead of the owned-`Marking`
-//!   token game.
+//!   enabled-set queries, checkpoint/rollback over a `u64` buffer) used by the RTOS
+//!   simulators and the ATM Table I harness instead of the owned-`Marking` token game.
 //!
 //! The exploration order and truncation semantics (state budget, per-place token
-//! cut-off) are **bit-for-bit identical** to the naive explorer for every token width:
-//! all variants assign the same state ids, discover the same edges in the same order
-//! and report the same frontier. `tests/properties.rs`
-//! holds that equivalence over the gallery nets and randomly generated nets.
+//! cut-off) are **bit-for-bit identical** to the naive explorer at both token widths:
+//! both assign the same state ids, discover the same edges in the same order and report
+//! the same frontier. `tests/properties.rs` holds that equivalence over the gallery nets
+//! and randomly generated nets, exploring each at a cut-off that picks `u8` and at one
+//! that picks `u64`.
 //!
 //! # Example
 //!
@@ -72,7 +74,7 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 }
 
 /// Per-place Zobrist-style multiplier, a pure function of the place index so every
-/// component (explorer, arena, compatibility view) hashes markings
+/// component (explorer, arena, firing session) hashes markings
 /// identically without sharing state.
 #[inline]
 pub(crate) fn place_key(place: usize) -> u64 {
@@ -84,7 +86,7 @@ pub(crate) fn place_key(place: usize) -> u64 {
 /// Additivity is the point — firing a transition shifts the raw hash by a constant
 /// (`Σ delta[p] · key(p)`), so the explorer updates successor hashes in O(1) from the
 /// parent instead of rehashing the whole token vector. Because the sum runs over the
-/// *values* (not the byte representation), every token width hashes identically.
+/// *values* (not the byte representation), both token widths hash identically.
 #[inline]
 pub(crate) fn raw_hash<W: TokenWord>(tokens: &[W]) -> u64 {
     tokens.iter().enumerate().fold(0u64, |h, (p, &k)| {

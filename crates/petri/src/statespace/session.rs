@@ -11,10 +11,7 @@
 //!
 //! [`FiringSession`] is the session-shaped face of the same machinery:
 //!
-//! * the current marking lives in one flat token buffer, monomorphised over the same
-//!   [`TokenWord`](super::TokenWord) widths the engine uses, with the width picked from
-//!   the net's static bound and **widened on demand** when a token actually saturates
-//!   (`u8` → `u16` → `u64`), so a session never trades correctness for bandwidth;
+//! * the current marking lives in one flat `u64` token buffer;
 //! * firing applies the transition's precomputed delta row in place and maintains the
 //!   additive marking hash and the total token count **incrementally** — O(|delta row|)
 //!   per firing, no rehash, no full-vector scan;
@@ -53,8 +50,7 @@
 //! assert_eq!(session.marking(), net.initial_marking().clone());
 //! ```
 
-use super::arena::TokenWord;
-use super::engine::{state_cost, NetTables, TokenWidth};
+use super::engine::{state_cost, NetTables};
 use super::interner::{Probe, SliceTable};
 use super::{mix, raw_hash, StateId};
 use crate::budget::{MemoryBudget, ResourceExhausted};
@@ -63,176 +59,12 @@ use crate::{Marking, PetriError, PetriNet, PlaceId, Result, TransitionId};
 /// Budget stage reported when interning a checkpoint exceeds the session's budget.
 const STAGE_CHECKPOINT: &str = "checkpoint";
 
-/// Width-generic session state: the current token buffer plus the checkpoint arena.
-#[derive(Debug, Clone)]
-struct Inner<W> {
-    places: usize,
-    /// The current marking's tokens.
-    current: Vec<W>,
-    /// Additive (unfinalized) hash of `current`, maintained incrementally per firing.
-    raw: u64,
-    /// Total token count of `current`, maintained incrementally per firing.
-    total: u64,
-    /// Checkpointed markings, stored contiguously with stride `places`.
-    arena: Vec<W>,
-    /// Raw hash of each checkpoint, restored verbatim on rollback.
-    checkpoint_raw: Vec<u64>,
-    /// Total token count of each checkpoint, restored verbatim on rollback.
-    checkpoint_total: Vec<u64>,
-    /// Deduplicating index over the checkpoint arena.
-    table: SliceTable,
-    /// Transitions fired since construction or the last rollback, for [`undo`].
-    ///
-    /// [`undo`]: FiringSession::undo
-    log: Vec<u32>,
-}
-
-/// What one firing attempt did, before width policy is applied.
-enum FireOutcome {
-    Fired,
-    NotEnabled,
-    /// A token would exceed the current width's maximum; the buffer was restored.
-    Saturated,
-}
-
-impl<W: TokenWord> Inner<W> {
-    fn new(initial: &[u64]) -> Self {
-        let current: Vec<W> = initial.iter().map(|&k| W::from_u64(k)).collect();
-        let raw = raw_hash(&current);
-        let total = initial.iter().fold(0u64, |acc, &k| acc.wrapping_add(k));
-        let mut inner = Inner {
-            places: initial.len(),
-            current,
-            raw,
-            total,
-            arena: Vec::new(),
-            checkpoint_raw: Vec::new(),
-            checkpoint_total: Vec::new(),
-            table: SliceTable::with_capacity(16),
-            log: Vec::new(),
-        };
-        // Checkpoint 0 is always the starting marking.
-        inner.checkpoint();
-        inner
-    }
-
-    fn fire(&mut self, tables: &NetTables, token_delta: &[i64], t: usize) -> FireOutcome {
-        if !tables.enabled(&self.current, t) {
-            return FireOutcome::NotEnabled;
-        }
-        if !tables.apply_delta_in_place(&mut self.current, t) {
-            return FireOutcome::Saturated;
-        }
-        self.raw = self.raw.wrapping_add(tables.hash_shift[t]);
-        self.total = self.total.wrapping_add_signed(token_delta[t]);
-        self.log.push(t as u32);
-        FireOutcome::Fired
-    }
-
-    fn undo(&mut self, tables: &NetTables, token_delta: &[i64]) -> Option<TransitionId> {
-        let t = self.log.pop()? as usize;
-        tables.revert_delta_in_place(&mut self.current, t);
-        self.raw = self.raw.wrapping_sub(tables.hash_shift[t]);
-        self.total = self
-            .total
-            .wrapping_add_signed(token_delta[t].wrapping_neg());
-        Some(TransitionId::new(t))
-    }
-
-    fn checkpoint(&mut self) -> StateId {
-        self.try_checkpoint(&MemoryBudget::unlimited())
-            .expect("an unlimited budget cannot be exhausted")
-    }
-
-    fn try_checkpoint(
-        &mut self,
-        memory: &MemoryBudget,
-    ) -> std::result::Result<StateId, ResourceExhausted> {
-        if self.table.needs_growth() {
-            self.table.grow();
-        }
-        let mixed = mix(self.raw);
-        let places = self.places;
-        let arena = &self.arena;
-        match self.table.probe(mixed, &self.current, |id| {
-            let start = id as usize * places;
-            &arena[start..start + places]
-        }) {
-            Probe::Found(id) => Ok(id),
-            Probe::Vacant(slot) => {
-                // Charge *before* growing so exhaustion never leaves a half-interned
-                // checkpoint behind; a re-intern of an already-saved marking (the
-                // `Found` arm) is free and stays available after exhaustion.
-                memory.charge(state_cost::<W>(places), STAGE_CHECKPOINT)?;
-                let id = self.checkpoint_raw.len() as StateId;
-                self.arena.extend_from_slice(&self.current);
-                self.checkpoint_raw.push(self.raw);
-                self.checkpoint_total.push(self.total);
-                self.table.insert_at(slot, mixed, id);
-                Ok(id)
-            }
-        }
-    }
-
-    fn rollback(&mut self, id: StateId) {
-        let start = id as usize * self.places;
-        self.current
-            .copy_from_slice(&self.arena[start..start + self.places]);
-        self.raw = self.checkpoint_raw[id as usize];
-        self.total = self.checkpoint_total[id as usize];
-        self.log.clear();
-    }
-
-    /// Re-encodes the whole session state over a wider word. Hashes, totals, the
-    /// interner table and the undo log carry over verbatim — they are all functions of
-    /// the token *values*, which widening preserves exactly.
-    fn widen<V: TokenWord>(self) -> Inner<V> {
-        let convert = |tokens: Vec<W>| -> Vec<V> {
-            tokens
-                .into_iter()
-                .map(|w| V::from_u64(w.to_u64()))
-                .collect()
-        };
-        Inner {
-            places: self.places,
-            current: convert(self.current),
-            raw: self.raw,
-            total: self.total,
-            arena: convert(self.arena),
-            checkpoint_raw: self.checkpoint_raw,
-            checkpoint_total: self.checkpoint_total,
-            table: self.table,
-            log: self.log,
-        }
-    }
-}
-
-/// The session state monomorphised over the active token width.
-#[derive(Debug, Clone)]
-enum Core {
-    U8(Inner<u8>),
-    U16(Inner<u16>),
-    U64(Inner<u64>),
-}
-
-/// Dispatches a read-only body over the active width.
-macro_rules! with_core {
-    ($core:expr, $inner:ident => $body:expr) => {
-        match $core {
-            Core::U8($inner) => $body,
-            Core::U16($inner) => $body,
-            Core::U64($inner) => $body,
-        }
-    };
-}
-
 /// A reusable token-game cursor: the firing fast path for sequential trace execution.
 ///
 /// Where [`StateSpace`](super::StateSpace) answers *exhaustive* questions (every
 /// reachable marking), a session executes *one trace at a time* — an event cascade, a
 /// schedule, a random walk — the workload shape of the RTOS simulators and the ATM
-/// Table I harness. It holds one current marking in a width-adaptive flat buffer and
-/// supports:
+/// Table I harness. It holds one current marking in a flat `u64` buffer and supports:
 ///
 /// * [`fire`](Self::fire) / [`undo`](Self::undo) — delta-row firing with incremental
 ///   hash and token-total maintenance, and exact single-step reversal;
@@ -241,11 +73,8 @@ macro_rules! with_core {
 /// * [`checkpoint`](Self::checkpoint) / [`rollback`](Self::rollback) — interned named
 ///   states with O(places) restore; checkpoint id 0 is always the starting marking.
 ///
-/// The token width starts at the narrowest word covering the net's static bound
-/// (initial marking plus one firing's worth of growth) and widens automatically the
-/// moment a firing would saturate it (`u8` → `u16` → `u64`), so the fast path is
-/// exactly equivalent to the checked [`PetriNet::fire`] token game — pinned by
-/// `tests/firing_session.rs`.
+/// The fast path is exactly equivalent to the checked [`PetriNet::fire`] token game —
+/// pinned by `tests/firing_session.rs`.
 ///
 /// # Example
 ///
@@ -274,19 +103,35 @@ pub struct FiringSession {
     /// Per-transition total-token effect `Σ delta[p]`, for incremental total tracking.
     token_delta: Vec<i64>,
     transition_count: usize,
-    width: TokenWidth,
-    core: Core,
     /// Scratch candidate bitmask reused across enabled-set queries.
     mask: Vec<u64>,
-    /// Byte budget charged per newly interned checkpoint and per width upgrade.
+    /// Byte budget charged per newly interned checkpoint.
     memory: MemoryBudget,
+    places: usize,
+    /// The current marking's tokens.
+    current: Vec<u64>,
+    /// Additive (unfinalized) hash of `current`, maintained incrementally per firing.
+    raw: u64,
+    /// Total token count of `current`, maintained incrementally per firing.
+    total: u64,
+    /// Checkpointed markings, stored contiguously with stride `places`.
+    arena: Vec<u64>,
+    /// Raw hash of each checkpoint, restored verbatim on rollback.
+    checkpoint_raw: Vec<u64>,
+    /// Total token count of each checkpoint, restored verbatim on rollback.
+    checkpoint_total: Vec<u64>,
+    /// Deduplicating index over the checkpoint arena.
+    table: SliceTable,
+    /// Transitions fired since construction or the last rollback, for [`undo`].
+    ///
+    /// [`undo`]: FiringSession::undo
+    log: Vec<u32>,
 }
 
 impl FiringSession {
-    /// Opens a session on `net` starting from its initial marking, with automatic width
-    /// selection.
+    /// Opens a session on `net` starting from its initial marking.
     pub fn new(net: &PetriNet) -> Self {
-        Self::with_width(net, net.initial_marking(), TokenWidth::Auto)
+        Self::starting_from(net, net.initial_marking())
     }
 
     /// Opens a session on `net` starting from an arbitrary marking.
@@ -295,100 +140,51 @@ impl FiringSession {
     ///
     /// Panics if `marking` does not have one entry per place of `net`.
     pub fn starting_from(net: &PetriNet, marking: &Marking) -> Self {
-        Self::with_width(net, marking, TokenWidth::Auto)
-    }
-
-    /// Opens a session with an explicit starting width.
-    ///
-    /// [`TokenWidth::Auto`] (what [`FiringSession::new`] uses) picks the narrowest word
-    /// covering `max(initial marking) + max(positive delta)` — the most any single
-    /// firing can put in a place before the session's first widening check. A forced
-    /// width too narrow for the starting marking itself is silently widened; whatever
-    /// width a session starts at, it widens automatically whenever a firing would
-    /// saturate a token, so the choice affects memory traffic only, never results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `marking` does not have one entry per place of `net`.
-    pub fn with_width(net: &PetriNet, marking: &Marking, width: TokenWidth) -> Self {
         assert_eq!(marking.len(), net.place_count(), "marking length mismatch");
         let tables = NetTables::build(net);
         let token_delta: Vec<i64> = net
             .transitions()
             .map(|t| net.delta_row(t).iter().map(|&(_, d)| d).sum())
             .collect();
-        let initial = marking.as_slice();
-        let initial_max = initial.iter().copied().max().unwrap_or(0);
-        let max_positive_delta = net
-            .transitions()
-            .flat_map(|t| net.delta_row(t))
-            .filter(|&&(_, d)| d > 0)
-            .map(|&(_, d)| d as u64)
-            .max()
-            .unwrap_or(0);
-        let narrowest = |bound: u64| {
-            if bound <= u8::MAX_TOKENS {
-                TokenWidth::U8
-            } else if bound <= u16::MAX_TOKENS {
-                TokenWidth::U16
-            } else {
-                TokenWidth::U64
-            }
-        };
-        let resolved = match width {
-            TokenWidth::Auto => narrowest(initial_max.saturating_add(max_positive_delta)),
-            forced => {
-                // The starting marking must be representable; beyond that the forced
-                // width stands (saturation widens at run time).
-                let required = narrowest(initial_max);
-                if forced.rank() >= required.rank() {
-                    forced
-                } else {
-                    required
-                }
-            }
-        };
-        let core = match resolved {
-            TokenWidth::U8 => Core::U8(Inner::new(initial)),
-            TokenWidth::U16 => Core::U16(Inner::new(initial)),
-            TokenWidth::Auto | TokenWidth::U64 => Core::U64(Inner::new(initial)),
-        };
+        let current = marking.as_slice().to_vec();
         let mask = tables.candidate_buffer();
-        FiringSession {
+        let mut session = FiringSession {
             tables,
             token_delta,
             transition_count: net.transition_count(),
-            width: resolved,
-            core,
             mask,
             memory: MemoryBudget::unlimited(),
-        }
+            places: current.len(),
+            raw: raw_hash(&current),
+            total: current.iter().fold(0u64, |acc, &k| acc.wrapping_add(k)),
+            current,
+            arena: Vec::new(),
+            checkpoint_raw: Vec::new(),
+            checkpoint_total: Vec::new(),
+            table: SliceTable::with_capacity(16),
+            log: Vec::new(),
+        };
+        // Checkpoint 0 is always the starting marking (the budget is still unlimited).
+        session.checkpoint();
+        session
     }
 
     /// Attaches a [`MemoryBudget`] to the session, charging it per newly interned
-    /// checkpoint (the engine's canonical per-state cost at the active width) and per
-    /// token-width upgrade (the byte growth of the current marking plus the checkpoint
-    /// arena).
+    /// checkpoint (the engine's canonical per-state cost).
     ///
     /// The starting marking (checkpoint 0, interned at construction) is never charged.
     /// After a charge fails the session itself stays fully usable: firing, undoing,
     /// rolling back and re-interning already-saved checkpoints are all free; only
-    /// operations that would grow memory keep failing while the budget stays exhausted.
+    /// new checkpoints keep failing while the budget stays exhausted.
     #[must_use]
     pub fn with_memory(mut self, memory: MemoryBudget) -> Self {
         self.memory = memory;
         self
     }
 
-    /// The width of the active token buffer (never [`TokenWidth::Auto`]). Widens over a
-    /// session's lifetime as tokens saturate; it never narrows back.
-    pub fn token_width(&self) -> TokenWidth {
-        self.width
-    }
-
     /// Number of places of the underlying net.
     pub fn place_count(&self) -> usize {
-        with_core!(&self.core, inner => inner.places)
+        self.places
     }
 
     /// Tokens currently in `place`.
@@ -397,27 +193,25 @@ impl FiringSession {
     ///
     /// Panics if `place` is out of range for the net.
     pub fn tokens_of(&self, place: PlaceId) -> u64 {
-        with_core!(&self.core, inner => inner.current[place.index()].to_u64())
+        self.current[place.index()]
     }
 
     /// The current marking as an owned [`Marking`] (one allocation; prefer
     /// [`tokens_of`](Self::tokens_of) and [`total_tokens`](Self::total_tokens) on hot
     /// paths).
     pub fn marking(&self) -> Marking {
-        with_core!(&self.core, inner => {
-            inner.current.iter().map(|&w| w.to_u64()).collect()
-        })
+        Marking::from_vec(self.current.clone())
     }
 
     /// Total tokens across all places, maintained incrementally — O(1).
     pub fn total_tokens(&self) -> u64 {
-        with_core!(&self.core, inner => inner.total)
+        self.total
     }
 
     /// Number of firings since construction or the last
     /// [`rollback`](Self::rollback) — the depth [`undo`](Self::undo) can rewind.
     pub fn trace_len(&self) -> usize {
-        with_core!(&self.core, inner => inner.log.len())
+        self.log.len()
     }
 
     /// Enabledness of `transition` in the current marking (input-arc scan only).
@@ -426,7 +220,7 @@ impl FiringSession {
     ///
     /// Panics if `transition` is out of range for the net.
     pub fn is_enabled(&self, transition: TransitionId) -> bool {
-        with_core!(&self.core, inner => self.tables.enabled(&inner.current, transition.index()))
+        self.tables.enabled(&self.current, transition.index())
     }
 
     /// Collects the transitions enabled in the current marking into `out` (cleared
@@ -468,29 +262,21 @@ impl FiringSession {
     /// order and hands the enabled ones to `visit`, stopping early when `visit` returns
     /// `false`.
     fn walk_enabled(&mut self, mut visit: impl FnMut(usize) -> bool) {
-        let tables = &self.tables;
-        let mask = &mut self.mask;
-        with_core!(&self.core, inner => {
-            tables.gather_candidates(&inner.current, mask);
-            for (word, &mask_bits) in mask.iter().enumerate() {
-                let mut bits = mask_bits;
-                while bits != 0 {
-                    let t = word * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if tables.enabled(&inner.current, t) && !visit(t) {
-                        return;
-                    }
+        self.tables.gather_candidates(&self.current, &mut self.mask);
+        for (word, &mask_bits) in self.mask.iter().enumerate() {
+            let mut bits = mask_bits;
+            while bits != 0 {
+                let t = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.tables.enabled(&self.current, t) && !visit(t) {
+                    return;
                 }
             }
-        });
+        }
     }
 
     /// Fires `transition`, updating the current marking, its hash and its token total
     /// in place.
-    ///
-    /// When the firing would saturate the current token width the session widens
-    /// (`u8` → `u16` → `u64`) and retries transparently, so narrow sessions behave
-    /// exactly like full-width ones.
     ///
     /// # Errors
     ///
@@ -499,41 +285,21 @@ impl FiringSession {
     ///   left unchanged.
     /// * [`PetriError::TokenOverflow`] if an output place would exceed `u64::MAX`
     ///   (mirroring [`PetriNet::fire`]); the marking is left unchanged.
-    /// * [`PetriError::ResourceExhausted`] if a required width upgrade does not fit the
-    ///   budget attached via [`with_memory`](Self::with_memory); the marking is left
-    ///   unchanged (at the old width) and the session stays usable.
     pub fn fire(&mut self, transition: TransitionId) -> Result<()> {
         let t = transition.index();
         if t >= self.transition_count {
             return Err(PetriError::UnknownTransition(transition));
         }
-        loop {
-            let tables = &self.tables;
-            let token_delta = &self.token_delta;
-            let outcome = with_core!(&mut self.core, inner => inner.fire(tables, token_delta, t));
-            match outcome {
-                FireOutcome::Fired => return Ok(()),
-                FireOutcome::NotEnabled => return Err(PetriError::NotEnabled(transition)),
-                FireOutcome::Saturated => {
-                    // Charge the widening before re-encoding: the whole session state
-                    // (current marking + checkpoint arena) grows by the word-size
-                    // difference per token slot.
-                    let slots = with_core!(&self.core, inner => inner.current.len() + inner.arena.len())
-                        as u64;
-                    let extra = match self.width {
-                        TokenWidth::U8 => slots,      // 1 → 2 bytes per slot
-                        TokenWidth::U16 => 6 * slots, // 2 → 8 bytes per slot
-                        TokenWidth::U64 | TokenWidth::Auto => 0,
-                    };
-                    if extra > 0 {
-                        self.memory.charge(extra, "widen")?;
-                    }
-                    if !self.widen() {
-                        return Err(PetriError::TokenOverflow(self.overflow_place(t)));
-                    }
-                }
-            }
+        if !self.tables.enabled(&self.current, t) {
+            return Err(PetriError::NotEnabled(transition));
         }
+        if !self.tables.apply_delta_in_place(&mut self.current, t) {
+            return Err(PetriError::TokenOverflow(self.overflow_place(t)));
+        }
+        self.raw = self.raw.wrapping_add(self.tables.hash_shift[t]);
+        self.total = self.total.wrapping_add_signed(self.token_delta[t]);
+        self.log.push(t as u32);
+        Ok(())
     }
 
     /// Fires a whole sequence, stopping at the first failure (the marking then reflects
@@ -553,9 +319,13 @@ impl FiringSession {
     /// `None` if the trace is empty. The undo log does not reach across a
     /// [`rollback`](Self::rollback).
     pub fn undo(&mut self) -> Option<TransitionId> {
-        let tables = &self.tables;
-        let token_delta = &self.token_delta;
-        with_core!(&mut self.core, inner => inner.undo(tables, token_delta))
+        let t = self.log.pop()? as usize;
+        self.tables.revert_delta_in_place(&mut self.current, t);
+        self.raw = self.raw.wrapping_sub(self.tables.hash_shift[t]);
+        self.total = self
+            .total
+            .wrapping_add_signed(self.token_delta[t].wrapping_neg());
+        Some(TransitionId::new(t))
     }
 
     /// Interns the current marking into the session's checkpoint arena and returns its
@@ -584,13 +354,35 @@ impl FiringSession {
     /// [`ResourceExhausted`] (stage `"checkpoint"`) when the budget attached via
     /// [`with_memory`](Self::with_memory) cannot cover the new checkpoint.
     pub fn try_checkpoint(&mut self) -> std::result::Result<StateId, ResourceExhausted> {
-        let memory = &self.memory;
-        with_core!(&mut self.core, inner => inner.try_checkpoint(memory))
+        if self.table.needs_growth() {
+            self.table.grow();
+        }
+        let mixed = mix(self.raw);
+        let places = self.places;
+        let arena = &self.arena;
+        match self.table.probe(mixed, &self.current, |id| {
+            let start = id as usize * places;
+            &arena[start..start + places]
+        }) {
+            Probe::Found(id) => Ok(id),
+            Probe::Vacant(slot) => {
+                // Charge *before* growing so exhaustion never leaves a half-interned
+                // checkpoint behind; a re-intern of an already-saved marking (the
+                // `Found` arm) is free and stays available after exhaustion.
+                self.memory.charge(state_cost(places), STAGE_CHECKPOINT)?;
+                let id = self.checkpoint_raw.len() as StateId;
+                self.arena.extend_from_slice(&self.current);
+                self.checkpoint_raw.push(self.raw);
+                self.checkpoint_total.push(self.total);
+                self.table.insert_at(slot, mixed, id);
+                Ok(id)
+            }
+        }
     }
 
     /// Number of distinct checkpoints interned so far (at least 1: the start).
     pub fn checkpoint_count(&self) -> usize {
-        with_core!(&self.core, inner => inner.checkpoint_raw.len())
+        self.checkpoint_raw.len()
     }
 
     /// The marking a checkpoint id refers to.
@@ -599,17 +391,12 @@ impl FiringSession {
     ///
     /// Panics if `id` was not returned by [`checkpoint`](Self::checkpoint).
     pub fn checkpoint_marking(&self, id: StateId) -> Marking {
-        with_core!(&self.core, inner => {
-            assert!(
-                (id as usize) < inner.checkpoint_raw.len(),
-                "unknown checkpoint id {id}"
-            );
-            let start = id as usize * inner.places;
-            inner.arena[start..start + inner.places]
-                .iter()
-                .map(|&w| w.to_u64())
-                .collect()
-        })
+        assert!(
+            (id as usize) < self.checkpoint_raw.len(),
+            "unknown checkpoint id {id}"
+        );
+        let start = id as usize * self.places;
+        Marking::from_vec(self.arena[start..start + self.places].to_vec())
     }
 
     /// Restores the current marking (and its hash and token total) to checkpoint `id` —
@@ -620,39 +407,20 @@ impl FiringSession {
     ///
     /// Panics if `id` was not returned by [`checkpoint`](Self::checkpoint).
     pub fn rollback(&mut self, id: StateId) {
-        with_core!(&mut self.core, inner => {
-            assert!(
-                (id as usize) < inner.checkpoint_raw.len(),
-                "unknown checkpoint id {id}"
-            );
-            inner.rollback(id)
-        });
+        assert!(
+            (id as usize) < self.checkpoint_raw.len(),
+            "unknown checkpoint id {id}"
+        );
+        let start = id as usize * self.places;
+        self.current
+            .copy_from_slice(&self.arena[start..start + self.places]);
+        self.raw = self.checkpoint_raw[id as usize];
+        self.total = self.checkpoint_total[id as usize];
+        self.log.clear();
     }
 
-    /// Widens the core one step; returns `false` when already at `u64`.
-    fn widen(&mut self) -> bool {
-        // Move the core out through a cheap placeholder so `Inner::widen` can consume it.
-        let core = std::mem::replace(&mut self.core, Core::U64(Inner::new(&[])));
-        match core {
-            Core::U8(inner) => {
-                self.width = TokenWidth::U16;
-                self.core = Core::U16(inner.widen());
-                true
-            }
-            Core::U16(inner) => {
-                self.width = TokenWidth::U64;
-                self.core = Core::U64(inner.widen());
-                true
-            }
-            Core::U64(inner) => {
-                self.core = Core::U64(inner);
-                false
-            }
-        }
-    }
-
-    /// The place a `u64`-width firing of `t` would overflow (for the error payload;
-    /// only reachable within a hair of `u64::MAX` tokens).
+    /// The place a firing of `t` would overflow (for the error payload; only reachable
+    /// within a hair of `u64::MAX` tokens).
     fn overflow_place(&self, t: usize) -> PlaceId {
         for &(p, d) in self.tables.delta(t) {
             if d > 0 {
@@ -742,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn width_starts_narrow_and_saturation_widens() {
+    fn pumping_past_the_u8_range_keeps_exact_counts() {
         // A pure source transition pumps one place without bound.
         let mut b = NetBuilder::new("pump");
         let t = b.transition("t");
@@ -750,23 +518,34 @@ mod tests {
         b.arc_t_p(t, p, 1).unwrap();
         let net = b.build().unwrap();
         let mut session = FiringSession::new(&net);
-        assert_eq!(session.token_width(), TokenWidth::U8);
         for _ in 0..300 {
             session.fire(t).unwrap();
         }
-        assert_eq!(session.token_width(), TokenWidth::U16);
         assert_eq!(session.tokens_of(net.place_by_name("p").unwrap()), 300);
         assert_eq!(session.total_tokens(), 300);
     }
 
     #[test]
-    fn forced_width_honours_starting_marking() {
+    fn wide_starting_marking_reads_back_exactly() {
         let mut b = NetBuilder::new("wide");
         let _p = b.place("p", 50_000);
         let net = b.build().unwrap();
-        // u8 cannot hold the starting marking: silently widened to u16.
-        let session = FiringSession::with_width(&net, net.initial_marking(), TokenWidth::U8);
-        assert_eq!(session.token_width(), TokenWidth::U16);
+        let session = FiringSession::new(&net);
+        assert_eq!(session.marking(), net.initial_marking().clone());
+        assert_eq!(session.total_tokens(), 50_000);
+    }
+
+    #[test]
+    fn overflow_at_u64_max_is_typed_and_leaves_the_marking() {
+        let mut b = NetBuilder::new("full");
+        let t = b.transition("t");
+        let p = b.place("p", u64::MAX);
+        b.arc_t_p(t, p, 1).unwrap();
+        let net = b.build().unwrap();
+        let mut session = FiringSession::new(&net);
+        assert_eq!(session.fire(t), Err(PetriError::TokenOverflow(p)));
+        assert_eq!(session.marking(), net.initial_marking().clone());
+        assert_eq!(session.trace_len(), 0);
     }
 
     #[test]
@@ -788,7 +567,7 @@ mod tests {
         let net = gallery::figure2();
         let t1 = net.transition_by_name("t1").unwrap();
         // Room for a couple of checkpoints beyond the (uncharged) starting marking.
-        let budget = MemoryBudget::with_limit(2 * state_cost::<u8>(net.place_count()));
+        let budget = MemoryBudget::with_limit(2 * state_cost(net.place_count()));
         let mut session = FiringSession::new(&net).with_memory(budget.clone());
 
         session.fire(t1).unwrap();
@@ -815,39 +594,24 @@ mod tests {
     }
 
     #[test]
-    fn widening_charges_the_budget_and_fails_without_corrupting_state() {
-        // A pure source transition pumps one place without bound, forcing u8 -> u16.
+    fn firing_never_charges_the_budget() {
+        // A pure source transition pumps one place well past 255 tokens; only new
+        // checkpoints draw on the budget, so firing succeeds under a one-byte limit.
         let mut b = NetBuilder::new("pump");
         let t = b.transition("t");
         let p = b.place("p", 0);
         b.arc_t_p(t, p, 1).unwrap();
         let net = b.build().unwrap();
-        // Too small for even the one-slot widening charge once the seed checkpoint of
-        // the *armed* path is counted out (seed is uncharged; widening costs 2 slots:
-        // current + the interned start checkpoint).
-        let mut session = FiringSession::new(&net).with_memory(MemoryBudget::with_limit(1));
-        for _ in 0..255 {
+        let budget = MemoryBudget::with_limit(1);
+        let mut session = FiringSession::new(&net).with_memory(budget.clone());
+        for _ in 0..300 {
             session.fire(t).unwrap();
         }
-        let err = session
-            .fire(t)
-            .expect_err("widening must exhaust the budget");
-        assert!(matches!(
-            err,
-            PetriError::ResourceExhausted { stage: "widen", .. }
-        ));
-        // The marking is unchanged at the old width and the session still answers.
-        assert_eq!(session.token_width(), TokenWidth::U8);
-        assert_eq!(session.total_tokens(), 255);
+        assert_eq!(session.total_tokens(), 300);
+        assert_eq!(budget.bytes_in_use(), 0);
         assert_eq!(session.undo(), Some(t));
-        assert_eq!(session.total_tokens(), 254);
-        // With headroom the same firing widens and succeeds.
-        let mut roomy = FiringSession::new(&net).with_memory(MemoryBudget::with_limit(1 << 20));
-        for _ in 0..300 {
-            roomy.fire(t).unwrap();
-        }
-        assert_eq!(roomy.token_width(), TokenWidth::U16);
-        assert_eq!(roomy.total_tokens(), 300);
+        assert_eq!(session.total_tokens(), 299);
+        assert!(session.try_checkpoint().is_err());
     }
 
     #[test]

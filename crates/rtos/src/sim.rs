@@ -284,7 +284,7 @@ fn task_owner_map(net: &PetriNet, tasks: &[FunctionalTask]) -> Result<Vec<usize>
 /// cost.
 ///
 /// This is the fast path: the token game runs on a
-/// [`FiringSession`](fcpn_petri::statespace::FiringSession) (flat width-adaptive token
+/// [`FiringSession`](fcpn_petri::statespace::FiringSession) (flat `u64` token
 /// buffer, delta-row firing, bitmask enabled-set queries into a reused buffer), so the
 /// cascade loop performs no per-step allocation and never scans transitions whose input
 /// places are all empty. The seed marking-by-marking implementation is retained as
@@ -1101,10 +1101,10 @@ mod tests {
     #[test]
     fn batch_reuse_survives_token_width_widening() {
         // The daemon's reuse pattern: one batch, many runs, on a net whose token counts
-        // saturate the narrow u8 arena mid-run (a place must accumulate 256 tokens
-        // before its consumer fires). The start checkpoint is recorded at u8 width;
-        // later runs roll back across the widening boundary and must still reproduce a
-        // fresh simulator bit for bit.
+        // climb past the u8 range mid-run (a place must accumulate 256 tokens before
+        // its consumer fires). Every run rolls back to the start checkpoint, across
+        // counts above and below 255, and must still reproduce a fresh simulator bit
+        // for bit.
         let mut b = fcpn_petri::NetBuilder::new("widening");
         let t_in = b.transition("t_in");
         let t_out = b.transition("t_out");
@@ -1123,9 +1123,8 @@ mod tests {
         let cost = CostModel::default();
         let src = net.transition_by_name("t_in").unwrap();
         let mut batch = FunctionalSimBatch::new(&net, &tasks, &cost).unwrap();
-        // 600 events push `p` through the u8 saturation point twice; 300 crosses once;
-        // 100 stays narrow. Interleave so rollback happens before, across and after the
-        // widening.
+        // 600 events push `p` past 255 tokens twice; 300 crosses once; 100 stays
+        // below. Interleave so runs that cross and runs that do not share the batch.
         for events in [600usize, 100, 300, 600] {
             let workload = Workload::periodic(src, 1, events, 0);
             let mut batch_resolver = FixedResolver::default();

@@ -758,7 +758,6 @@ impl RequestOptions {
             },
             cancel,
             memory: self.memory(),
-            ..ExploreOptions::default()
         }
     }
 }
@@ -941,8 +940,7 @@ fn analyze(
 
     if options.wants("reachability") {
         let space = space.as_ref().expect("explored above");
-        // Same numbers `ReachabilityGraph::from_statespace` would expose, read off the
-        // space directly so the deadlock/liveness checks can reuse it.
+        // Read off the one explored space, which the deadlock/liveness checks reuse.
         results.push((
             "reachability".to_string(),
             Json::obj([

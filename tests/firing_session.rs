@@ -2,16 +2,16 @@
 //! ([`fcpn::petri::statespace::FiringSession`]).
 //!
 //! The session's contract is the one PR 1/2 established for the exploration engine,
-//! transplanted to sequential trace execution: whatever the token width, however many
-//! times the session widens, checkpoints or rolls back, every observable — markings,
-//! enabled sets, firing errors, token totals — must be *bit-for-bit identical* to the
+//! transplanted to sequential trace execution: however many times the session fires,
+//! checkpoints or rolls back, every observable — markings, enabled sets, firing
+//! errors, token totals — must be *bit-for-bit identical* to the
 //! seed token game (`PetriNet::fire` on an owned `Marking` plus
 //! `enabled_transitions`). The random-trace loop here drives both sides in lockstep
 //! from seeded PRNGs, and the RTOS-level test pins the session-backed functional
 //! simulator against the retained naive simulator on random partitionings.
 
 use fcpn::codegen::RoundRobinResolver;
-use fcpn::petri::statespace::{FiringSession, TokenWidth};
+use fcpn::petri::statespace::FiringSession;
 use fcpn::petri::{gallery, Marking, NetBuilder, PetriNet, TransitionId};
 use fcpn::rtos::{
     simulate_functional_partition, simulate_functional_partition_naive, CostModel, FunctionalTask,
@@ -176,10 +176,10 @@ fn deadlocked_session_reports_zero_enabled() {
 }
 
 #[test]
-fn checkpoint_rollback_across_the_u8_to_u16_width_boundary() {
-    // A source transition pumps `p`; a drain consumes 2 at a time. The session starts
-    // in the u8 arena, checkpoints below 255 tokens, is forced into u16 by saturation,
-    // and must roll back across the widening without losing a token.
+fn checkpoint_rollback_across_a_300_token_pump_and_drain() {
+    // A source transition pumps `p`; a drain consumes 2 at a time. The session
+    // checkpoints below 255 tokens, pumps past 255, and must roll back across that
+    // boundary in both directions without losing a token.
     let mut b = NetBuilder::new("pump-drain");
     let pump = b.transition("pump");
     let p = b.place("p", 0);
@@ -192,39 +192,30 @@ fn checkpoint_rollback_across_the_u8_to_u16_width_boundary() {
     let drain = net.transition_by_name("drain").unwrap();
 
     let mut session = FiringSession::new(&net);
-    assert_eq!(session.token_width(), TokenWidth::U8);
 
     for _ in 0..200 {
         session.fire(pump).unwrap();
     }
     let at_200 = session.checkpoint();
-    assert_eq!(session.token_width(), TokenWidth::U8, "200 tokens fit u8");
 
-    // Push past 255: the u8 arena saturates and the session widens to u16 mid-trace.
+    // Push past 255 mid-trace.
     for _ in 0..100 {
         session.fire(pump).unwrap();
     }
-    assert_eq!(session.token_width(), TokenWidth::U16);
     assert_eq!(session.tokens_of(p), 300);
     let at_300 = session.checkpoint();
 
-    // Rolling back to a checkpoint taken *before* the widening restores the exact
-    // marking (the arena was widened in place, value-preserving).
+    // Rolling back to a checkpoint taken below 255 restores the exact marking.
     session.rollback(at_200);
     assert_eq!(session.tokens_of(p), 200);
     assert_eq!(session.total_tokens(), 200);
-    assert_eq!(
-        session.token_width(),
-        TokenWidth::U16,
-        "widths never narrow"
-    );
 
-    // The restored state is live: drain below the u8 range again and re-checkpoint.
+    // The restored state is live: drain it back to zero.
     for _ in 0..100 {
         session.fire(drain).unwrap();
     }
     assert_eq!(session.tokens_of(p), 0);
-    // Checkpoints taken at u8 width are still found by value after widening.
+    // Checkpoints on both sides of 255 are still found by value.
     assert_eq!(session.checkpoint_marking(at_200).tokens(p), 200);
     assert_eq!(session.checkpoint_marking(at_300).tokens(p), 300);
     session.rollback(at_300);

@@ -9,13 +9,15 @@
 //! explorer ([`StateSpace`]) must discover *exactly* the same markings, edges, frontier
 //! and dead markings as the retained naive reference explorer
 //! ([`ReachabilityGraph::explore_naive`]) on every gallery net and on randomly generated
-//! nets, bounded or truncated.
+//! nets, bounded or truncated, at both token widths: each net is explored at the test's
+//! cut-off (which picks the `u8` arena) and at [`WIDE_CUTOFF`] (which picks `u64`).
 
 use fcpn::codegen::{synthesize, Interpreter, SynthesisOptions};
 use fcpn::petri::analysis::{
     IncidenceMatrix, InvariantAnalysis, ReachabilityGraph, ReachabilityOptions,
 };
 use fcpn::petri::statespace::{ExploreOptions, StateSpace, TokenWidth};
+use fcpn::petri::Marking;
 use fcpn::petri::{gallery, NetBuilder, PetriNet, PlaceId, TransitionId};
 use fcpn::qss::{quasi_static_schedule, QssOptions, QssOutcome};
 use fcpn::sdf::{FiringPolicy, SdfGraph};
@@ -344,154 +346,168 @@ fn naive_can_eventually_fire(
     can
 }
 
-/// Asserts the engine and the naive explorer agree bit-for-bit on `net`: same markings in
-/// the same discovery order, same edges, same completeness/frontier, same dead markings
-/// and the same backward-reachability verdicts for every transition.
-fn assert_engines_agree(net: &PetriNet, options: ReachabilityOptions, label: &str) {
-    let naive = ReachabilityGraph::explore_naive(net, options);
-    let view = ReachabilityGraph::explore(net, options);
-    assert_eq!(
-        view, naive,
-        "{label}: compatibility view differs from naive explorer"
-    );
+/// A token cut-off whose explore bound exceeds `u8::MAX`, so the explorer stores tokens
+/// as `u64`; every test cut-off below is small enough to pick `u8`.
+const WIDE_CUTOFF: u64 = 256;
 
-    let space = StateSpace::explore(net, options);
-    assert_eq!(
-        space.state_count(),
-        naive.marking_count(),
-        "{label}: state count"
-    );
-    assert_eq!(space.edge_count(), naive.edges.len(), "{label}: edge count");
-    assert_eq!(space.is_complete(), naive.complete, "{label}: completeness");
-    for (id, tokens) in space.states().enumerate() {
-        assert_eq!(
-            tokens,
-            naive.markings[id].as_slice(),
-            "{label}: marking {id}"
-        );
-    }
-    let engine_edges: Vec<(usize, TransitionId, usize)> = space
-        .edges()
-        .map(|(from, t, to)| (from as usize, t, to as usize))
-        .collect();
-    let naive_edges: Vec<(usize, TransitionId, usize)> = naive
-        .edges
-        .iter()
-        .map(|e| (e.from, e.transition, e.to))
-        .collect();
-    assert_eq!(engine_edges, naive_edges, "{label}: edges");
-    let engine_frontier: Vec<usize> = space.frontier().iter().map(|&s| s as usize).collect();
-    assert_eq!(engine_frontier, naive.frontier, "{label}: frontier");
-    let engine_dead: Vec<usize> = space.dead_states().iter().map(|&s| s as usize).collect();
-    assert_eq!(
-        engine_dead,
-        naive_dead_markings(&naive),
-        "{label}: dead markings"
-    );
-    for t in net.transitions() {
-        assert_eq!(
-            space.can_eventually_fire(net, t),
-            naive_can_eventually_fire(&naive, net, t),
-            "{label}: can_eventually_fire({t:?})"
-        );
-    }
-    // Every discovered marking must be findable through the interner, both in the raw
-    // engine and in the compatibility view.
-    for id in 0..space.state_count() {
-        let marking = space.marking(id as u32);
-        assert_eq!(
-            space.index_of(&marking),
-            Some(id as u32),
-            "{label}: engine lookup"
-        );
-        assert_eq!(view.index_of(&marking), Some(id), "{label}: view lookup");
+/// `options` with the cut-off raised to [`WIDE_CUTOFF`].
+fn widened(options: ReachabilityOptions) -> ReachabilityOptions {
+    ReachabilityOptions {
+        max_tokens_per_place: WIDE_CUTOFF,
+        ..options
     }
 }
 
-/// Asserts every engine variant — the narrow `u8`/`u16` arenas and the adaptive
-/// default — produces exactly the canonical graph the `u64` engine does: same markings in the same id order, same edge lists, same
-/// completeness/frontier and same dead markings.
-fn assert_variants_canonical(net: &PetriNet, options: ReachabilityOptions, label: &str) {
-    let baseline = StateSpace::explore_with(
-        net,
-        &ExploreOptions {
-            reach: options,
-            width: TokenWidth::U64,
-            ..ExploreOptions::default()
-        },
-    );
-    let variants = [
-        ("u8", TokenWidth::U8),
-        ("u16", TokenWidth::U16),
-        ("auto", TokenWidth::Auto),
-    ];
-    for (name, width) in variants {
-        let space = StateSpace::explore_with(
-            net,
-            &ExploreOptions {
-                reach: options,
-                width,
-                ..ExploreOptions::default()
-            },
-        );
-        let tag = format!("{label} [{name}]");
-        assert_eq!(space.state_count(), baseline.state_count(), "{tag}: states");
-        assert_eq!(space.edge_count(), baseline.edge_count(), "{tag}: edges");
+/// Explores `net` under `reach` and asserts the explorer picked `width`.
+fn explore_at(
+    net: &PetriNet,
+    reach: ReachabilityOptions,
+    width: TokenWidth,
+    tag: &str,
+) -> StateSpace {
+    let space = StateSpace::explore(net, reach);
+    assert_eq!(space.token_width(), width, "{tag}: token width");
+    space
+}
+
+/// Asserts the engine and the naive explorer agree bit-for-bit on `net`, once at
+/// `options` (the `u8` arena) and once at the widened cut-off (the `u64` arena): same
+/// markings in the same discovery order, same edges and per-state out-edge rows, same
+/// completeness/frontier, same dead markings, the same backward-reachability verdicts
+/// for every transition, and every marking found by both interners.
+fn assert_engines_agree(net: &PetriNet, options: ReachabilityOptions, label: &str) {
+    for (reach, width) in [
+        (options, TokenWidth::U8),
+        (widened(options), TokenWidth::U64),
+    ] {
+        let tag = format!("{label} [{}]", width.name());
+        let naive = ReachabilityGraph::explore_naive(net, reach);
+        let space = explore_at(net, reach, width, &tag);
         assert_eq!(
-            space.is_complete(),
-            baseline.is_complete(),
-            "{tag}: completeness"
+            space.state_count(),
+            naive.marking_count(),
+            "{tag}: state count"
         );
-        assert_eq!(space.frontier(), baseline.frontier(), "{tag}: frontier");
+        assert_eq!(space.edge_count(), naive.edges.len(), "{tag}: edge count");
+        assert_eq!(space.is_complete(), naive.complete, "{tag}: completeness");
+        for (id, tokens) in space.states().enumerate() {
+            assert_eq!(tokens, naive.markings[id].as_slice(), "{tag}: marking {id}");
+        }
+        let engine_edges: Vec<(usize, TransitionId, usize)> = space
+            .edges()
+            .map(|(from, t, to)| (from as usize, t, to as usize))
+            .collect();
+        let naive_edges: Vec<(usize, TransitionId, usize)> = naive
+            .edges
+            .iter()
+            .map(|e| (e.from, e.transition, e.to))
+            .collect();
+        assert_eq!(engine_edges, naive_edges, "{tag}: edges");
+        let engine_frontier: Vec<usize> = space.frontier().iter().map(|&s| s as usize).collect();
+        assert_eq!(engine_frontier, naive.frontier, "{tag}: frontier");
+        let engine_dead: Vec<usize> = space.dead_states().iter().map(|&s| s as usize).collect();
         assert_eq!(
-            space.dead_states(),
-            baseline.dead_states(),
+            engine_dead,
+            naive_dead_markings(&naive),
             "{tag}: dead markings"
         );
-        for id in 0..baseline.state_count() as u32 {
-            assert_eq!(space.tokens(id), baseline.tokens(id), "{tag}: marking {id}");
-            let base_row: Vec<_> = baseline.successors(id).collect();
-            let row: Vec<_> = space.successors(id).collect();
-            assert_eq!(row, base_row, "{tag}: out-edges of {id}");
+        for t in net.transitions() {
             assert_eq!(
-                space.index_of_tokens(baseline.tokens(id)),
-                Some(id),
-                "{tag}: interner lookup of {id}"
+                space.can_eventually_fire(net, t),
+                naive_can_eventually_fire(&naive, net, t),
+                "{tag}: can_eventually_fire({t:?})"
             );
         }
+        for id in 0..space.state_count() {
+            let row: Vec<(TransitionId, usize)> = space
+                .successors(id as u32)
+                .map(|(t, to)| (t, to as usize))
+                .collect();
+            let naive_row: Vec<(TransitionId, usize)> =
+                naive.successors(id).map(|e| (e.transition, e.to)).collect();
+            assert_eq!(row, naive_row, "{tag}: out-edges of {id}");
+            // Every discovered marking must be findable through both interners.
+            let marking: Marking = space.marking(id as u32);
+            assert_eq!(
+                space.index_of(&marking),
+                Some(id as u32),
+                "{tag}: engine lookup"
+            );
+            assert_eq!(naive.index_of(&marking), Some(id), "{tag}: naive lookup");
+        }
     }
-    // Armed but never-tripped guards — a live cancellation token and a memory budget
-    // the exploration never reaches — are pure observation: the graph they yield must
-    // be the canonical one, bit for bit, at every width.
-    for width in [TokenWidth::U64, TokenWidth::Auto] {
+}
+
+/// Asserts two explorations built exactly the same graph: same markings in the same id
+/// order, same edge lists and out-edge rows, same completeness/frontier, same dead
+/// markings and the same interner lookups.
+fn assert_same_space(space: &StateSpace, baseline: &StateSpace, tag: &str) {
+    assert_eq!(space.state_count(), baseline.state_count(), "{tag}: states");
+    assert_eq!(space.edge_count(), baseline.edge_count(), "{tag}: edges");
+    assert_eq!(
+        space.is_complete(),
+        baseline.is_complete(),
+        "{tag}: completeness"
+    );
+    assert_eq!(space.frontier(), baseline.frontier(), "{tag}: frontier");
+    assert_eq!(
+        space.dead_states(),
+        baseline.dead_states(),
+        "{tag}: dead markings"
+    );
+    for id in 0..baseline.state_count() as u32 {
+        assert_eq!(space.tokens(id), baseline.tokens(id), "{tag}: marking {id}");
+        let base_row: Vec<_> = baseline.successors(id).collect();
+        let row: Vec<_> = space.successors(id).collect();
+        assert_eq!(row, base_row, "{tag}: out-edges of {id}");
+        assert_eq!(
+            space.index_of_tokens(baseline.tokens(id)),
+            Some(id),
+            "{tag}: interner lookup of {id}"
+        );
+    }
+}
+
+/// Explores `net` at `options` (the `u8` arena) and at the widened cut-off (the `u64`
+/// arena), asserting each width really ran. Where the narrow run's cut-off never bit
+/// (empty frontier — every bounded net), raising it cannot change the graph, so the two
+/// widths must build the same graph bit for bit; returns whether that comparison ran.
+///
+/// Armed but never-tripped guards — a live cancellation token and a memory budget the
+/// exploration never reaches — are pure observation: at both widths the graph they
+/// yield must be the unguarded one, bit for bit.
+fn assert_variants_canonical(net: &PetriNet, options: ReachabilityOptions, label: &str) -> bool {
+    let narrow = explore_at(net, options, TokenWidth::U8, &format!("{label} [u8]"));
+    let wide_options = widened(options);
+    let wide = explore_at(
+        net,
+        wide_options,
+        TokenWidth::U64,
+        &format!("{label} [u64]"),
+    );
+    let compared = narrow.frontier().is_empty();
+    if compared {
+        assert_same_space(&wide, &narrow, &format!("{label} [u64 vs u8]"));
+    }
+    for (reach, baseline) in [(options, &narrow), (wide_options, &wide)] {
         let watched = StateSpace::try_explore_with(
             net,
             &ExploreOptions {
-                reach: options,
-                width,
+                reach,
                 cancel: fcpn::petri::cancel::CancelToken::new(),
                 memory: fcpn::petri::MemoryBudget::with_limit(1 << 40),
             },
         )
         .expect("armed-but-unreached guards never interrupt");
-        let tag = format!("{label} [armed-guards {width:?}]");
+        let tag = format!("{label} [armed-guards {}]", baseline.token_width().name());
         assert_eq!(
-            watched.state_count(),
-            baseline.state_count(),
-            "{tag}: states"
+            watched.token_width(),
+            baseline.token_width(),
+            "{tag}: width"
         );
-        assert_eq!(watched.edge_count(), baseline.edge_count(), "{tag}: edges");
-        for id in 0..baseline.state_count() as u32 {
-            assert_eq!(
-                watched.tokens(id),
-                baseline.tokens(id),
-                "{tag}: marking {id}"
-            );
-            let base_row: Vec<_> = baseline.successors(id).collect();
-            let row: Vec<_> = watched.successors(id).collect();
-            assert_eq!(row, base_row, "{tag}: out-edges of {id}");
-        }
+        assert_same_space(&watched, baseline, &tag);
     }
+    compared
 }
 
 /// Truncation budget for nets with source transitions (unbounded state spaces).
@@ -548,14 +564,18 @@ fn engine_variants_are_canonical_on_every_gallery_net() {
         ("marked_ring(10,4)", gallery::marked_ring(10, 4)),
         ("cycle_bank(8)", gallery::cycle_bank(8)),
     ] {
-        assert_variants_canonical(&net, ReachabilityOptions::default(), label);
+        assert!(
+            assert_variants_canonical(&net, ReachabilityOptions::default(), label),
+            "{label}: a bounded net compares u8 against u64"
+        );
     }
 }
 
 #[test]
 fn engine_variants_are_canonical_on_random_nets() {
-    // 64 seeded random nets in total (48 dense + 16 free-choice trees), each checked
-    // across every width variant plus the armed-guards (live token + budget) paths.
+    // 64 seeded random nets in total (48 dense + 16 free-choice trees), each explored
+    // at both widths plus the armed-guards (live token + budget) paths.
+    let mut compared = 0;
     for seed in 0..48u64 {
         let mut rng = StdRng::seed_from_u64(0xACE ^ seed);
         let net = random_net(&mut rng);
@@ -563,13 +583,19 @@ fn engine_variants_are_canonical_on_random_nets() {
             max_markings: 1_500,
             max_tokens_per_place: 6,
         };
-        assert_variants_canonical(&net, options, &format!("random net seed {seed}"));
+        compared += usize::from(assert_variants_canonical(
+            &net,
+            options,
+            &format!("random net seed {seed}"),
+        ));
     }
     for seed in 0..16u64 {
         let mut rng = StdRng::seed_from_u64(0xD1CE ^ seed);
         let net = free_choice_tree(&mut rng);
         assert_variants_canonical(&net, truncated(), &format!("fc tree seed {seed}"));
     }
+    // The bounded random nets are the ones where u8 and u64 are compared bit for bit.
+    assert!(compared >= 8, "only {compared} bounded random nets");
 }
 
 #[test]
@@ -591,46 +617,94 @@ fn memory_exhaustion_is_deterministic_across_engines() {
             max_markings: 200_000,
             max_tokens_per_place: 16,
         };
-        // Per-state cost is a function of the token width, so compare runs within
-        // each fixed width (Auto resolves identically for the same net).
-        for width in [TokenWidth::U64, TokenWidth::U16, TokenWidth::Auto] {
-            let mut errors = Vec::new();
-            for cancel in [
-                fcpn::petri::cancel::CancelToken::never(),
-                fcpn::petri::cancel::CancelToken::never(),
-                fcpn::petri::cancel::CancelToken::new(),
-            ] {
-                let err = StateSpace::try_explore_with(
-                    &net,
-                    &ExploreOptions {
-                        reach,
-                        width,
-                        cancel,
-                        memory: fcpn::petri::MemoryBudget::with_limit(limit),
-                    },
-                )
-                .expect_err("tight budget must exhaust");
-                errors.push(err);
-            }
-            let first = &errors[0];
-            assert!(
-                matches!(first, fcpn::petri::Interrupt::Exhausted(_)),
-                "{label} [{width:?}]: expected an exhaustion error, got {first:?}"
+        let mut errors = Vec::new();
+        for cancel in [
+            fcpn::petri::cancel::CancelToken::never(),
+            fcpn::petri::cancel::CancelToken::never(),
+            fcpn::petri::cancel::CancelToken::new(),
+        ] {
+            let err = StateSpace::try_explore_with(
+                &net,
+                &ExploreOptions {
+                    reach,
+                    cancel,
+                    memory: fcpn::petri::MemoryBudget::with_limit(limit),
+                },
+            )
+            .expect_err("tight budget must exhaust");
+            errors.push(err);
+        }
+        let first = &errors[0];
+        assert!(
+            matches!(first, fcpn::petri::Interrupt::Exhausted(_)),
+            "{label}: expected an exhaustion error, got {first:?}"
+        );
+        for (run, err) in errors.iter().enumerate().skip(1) {
+            assert_eq!(
+                err, first,
+                "{label}: run {run} diverged from the first error"
             );
-            for (run, err) in errors.iter().enumerate().skip(1) {
-                assert_eq!(
-                    err, first,
-                    "{label} [{width:?}]: run {run} diverged from the first error"
-                );
-            }
         }
     }
 }
 
 #[test]
+fn memory_exhaustion_is_independent_of_token_width() {
+    // Each admitted state costs the `u64` row the returned space keeps, whichever word
+    // the explorer stores tokens in, so a budget runs out at the same charge with the
+    // same error at cut-off 16 (the `u8` arena) and at cut-off 1000 (the `u64` arena).
+    // cycle_bank(10) is bounded (1024 states), so both cut-offs explore the same graph;
+    // the limit sits between what its `u8` rows and its `u64` rows would cost.
+    let net = gallery::cycle_bank(10);
+    let exhaust = |max_tokens_per_place| {
+        StateSpace::try_explore_with(
+            &net,
+            &ExploreOptions {
+                reach: ReachabilityOptions {
+                    max_markings: 200_000,
+                    max_tokens_per_place,
+                },
+                memory: fcpn::petri::MemoryBudget::with_limit(200_000),
+                ..ExploreOptions::default()
+            },
+        )
+        .expect_err("the budget cannot hold cycle_bank(10)")
+    };
+    let narrow = exhaust(16);
+    assert!(
+        matches!(narrow, fcpn::petri::Interrupt::Exhausted(_)),
+        "expected an exhaustion error, got {narrow:?}"
+    );
+    assert_eq!(exhaust(1_000), narrow);
+    // The same cut-offs without a budget really do run both widths.
+    assert_eq!(
+        StateSpace::explore(
+            &net,
+            ReachabilityOptions {
+                max_markings: 200_000,
+                max_tokens_per_place: 16
+            }
+        )
+        .token_width(),
+        TokenWidth::U8
+    );
+    assert_eq!(
+        StateSpace::explore(
+            &net,
+            ReachabilityOptions {
+                max_markings: 200_000,
+                max_tokens_per_place: 1_000
+            }
+        )
+        .token_width(),
+        TokenWidth::U64
+    );
+}
+
+#[test]
 fn engine_variants_are_canonical_under_tight_budgets() {
     // Budget truncation is where discovery order matters most: which states fall inside
-    // the budget depends on it, so this pins every width's admission order byte-for-byte.
+    // the budget depends on it, so this pins both widths' admission order byte-for-byte.
     let net = gallery::figure5();
     for max_markings in [1usize, 2, 7, 50, 333] {
         assert_variants_canonical(
